@@ -1496,7 +1496,7 @@ let alloc_cmd =
       & info [ "check" ]
           ~doc:
             "Exit non-zero if the dense checker finds any error in the \
-             produced or repaired allocation.")
+             greedy, memetic or repaired allocation.")
   in
   let max_seconds_arg =
     Arg.(
@@ -1561,6 +1561,7 @@ let alloc_cmd =
     let fail = ref false in
     let errors =
       r.Fa.check_errors
+      + (match r.Fa.memetic with Some m -> m.Fa.memetic_errors | None -> 0)
       + match r.Fa.repair with Some rp -> rp.Fa.repair_errors | None -> 0
     in
     if check && errors > 0 then begin

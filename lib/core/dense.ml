@@ -640,19 +640,27 @@ let greedy inst =
 (* Mutation (dense port of Memetic.mutate)                             *)
 (* ------------------------------------------------------------------ *)
 
-let mutate rng t =
-  let child = copy t in
-  let n = num_backends child in
+type move = { cls : int; b1 : int; b2 : int; amount : float }
+
+let max_moves = 3
+
+(* Draw 1–3 random read-class transfers and apply each to [t] in place.
+   A move is drawn against the state its predecessors left, so drawing
+   and applying interleave; [before m] runs just ahead of each applied
+   move.  Returns the applied moves in order. *)
+let draw_and_apply ?(before = ignore) rng t =
+  let n = num_backends t in
   let reads = t.inst.read_idx in
-  if Array.length reads = 0 || n < 2 then child
+  if Array.length reads = 0 || n < 2 then []
   else begin
     let sources = Array.make n 0 in
-    let attempts = 1 + Rng.int rng 3 in
+    let moves = ref [] in
+    let attempts = 1 + Rng.int rng max_moves in
     for _ = 1 to attempts do
       let c = reads.(Rng.int rng (Array.length reads)) in
       let ns = ref 0 in
       for b = 0 to n - 1 do
-        if child.b_alive.(b) && child.assign.(b).(c) > Eps.tiny then begin
+        if t.b_alive.(b) && t.assign.(b).(c) > Eps.tiny then begin
           sources.(!ns) <- b;
           incr ns
         end
@@ -660,15 +668,125 @@ let mutate rng t =
       if !ns > 0 then begin
         let b1 = sources.(Rng.int rng !ns) in
         let b2 = Rng.int rng n in
-        if b1 <> b2 && child.b_alive.(b2) then begin
-          let a1 = child.assign.(b1).(c) in
+        if b1 <> b2 && t.b_alive.(b2) then begin
+          let a1 = t.assign.(b1).(c) in
           let amount = if Rng.bool rng then a1 else Rng.float rng a1 in
-          transfer child c ~b1 ~b2 ~amount
+          let m = { cls = c; b1; b2; amount } in
+          before m;
+          transfer t c ~b1 ~b2 ~amount;
+          moves := m :: !moves
         end
       end
     done;
-    child
+    List.rev !moves
   end
+
+let replay t moves =
+  List.iter (fun m -> transfer t m.cls ~b1:m.b1 ~b2:m.b2 ~amount:m.amount) moves
+
+let mutate rng t =
+  let child = copy t in
+  ignore (draw_and_apply rng child);
+  child
+
+(* Pre-trial image of one backend, in a reusable slot. *)
+type snapshot = {
+  mutable s_backend : int;
+  mutable s_held : Bits.t;
+  mutable s_row : float array;
+  s_active : int Vec.t;
+  s_pinned : int Vec.t;
+  mutable s_load : float;
+  mutable s_stored : float;
+}
+
+type trial_buffers = {
+  slots : snapshot array;  (** two backends per move *)
+  mutable used : int;  (** slots holding a backend of the running trial *)
+  mutable pins : int array;  (** [upd_pins] before the trial *)
+}
+
+let trial_buffers () =
+  {
+    slots =
+      Array.init (2 * max_moves) (fun _ ->
+          {
+            s_backend = -1;
+            s_held = Bytes.empty;
+            s_row = [||];
+            s_active = Vec.create ();
+            s_pinned = Vec.create ();
+            s_load = 0.;
+            s_stored = 0.;
+          });
+    used = 0;
+    pins = [||];
+  }
+
+let copy_into dst src =
+  Vec.clear dst;
+  Vec.iter (Vec.push dst) src
+
+(* Snapshot backend [b] the first time the running trial touches it. *)
+let touch buf t b =
+  let rec seen i =
+    i < buf.used && (buf.slots.(i).s_backend = b || seen (i + 1))
+  in
+  if not (seen 0) then begin
+    let s = buf.slots.(buf.used) in
+    buf.used <- buf.used + 1;
+    s.s_backend <- b;
+    if Bytes.length s.s_held <> Bytes.length t.held.(b) then
+      s.s_held <- Bytes.create (Bytes.length t.held.(b));
+    Bits.blit ~src:t.held.(b) ~dst:s.s_held;
+    let row = t.assign.(b) in
+    if Array.length s.s_row <> Array.length row then
+      s.s_row <- Array.make (Array.length row) 0.;
+    Array.blit row 0 s.s_row 0 (Array.length row);
+    copy_into s.s_active t.active.(b);
+    copy_into s.s_pinned t.pinned.(b);
+    s.s_load <- t.load.(b);
+    s.s_stored <- t.stored.(b)
+  end
+
+let restore buf t =
+  for i = 0 to buf.used - 1 do
+    let s = buf.slots.(i) in
+    let b = s.s_backend in
+    Bits.blit ~src:s.s_held ~dst:t.held.(b);
+    Array.blit s.s_row 0 t.assign.(b) 0 (Array.length s.s_row);
+    copy_into t.active.(b) s.s_active;
+    copy_into t.pinned.(b) s.s_pinned;
+    t.load.(b) <- s.s_load;
+    t.stored.(b) <- s.s_stored
+  done;
+  buf.used <- 0;
+  (* An explicit loop: [Array.blit] into a major-heap int array goes
+     through the write barrier element by element. *)
+  for u = 0 to Array.length buf.pins - 1 do
+    t.upd_pins.(u) <- buf.pins.(u)
+  done
+
+(* Score a mutation without copying: apply it to the parent, read the
+   cost, and roll every touched backend (and the pin counts) back. *)
+let trial buf rng t =
+  let n_pins = Array.length t.upd_pins in
+  if Array.length buf.pins <> n_pins then buf.pins <- Array.make n_pins 0;
+  for u = 0 to n_pins - 1 do
+    buf.pins.(u) <- t.upd_pins.(u)
+  done;
+  buf.used <- 0;
+  Fun.protect
+    ~finally:(fun () -> restore buf t)
+    (fun () ->
+      let moves =
+        draw_and_apply
+          ~before:(fun m ->
+            touch buf t m.b1;
+            touch buf t m.b2)
+          rng t
+      in
+      (cost t, moves))
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)

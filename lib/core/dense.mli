@@ -151,9 +151,40 @@ val greedy : instance -> t
     weight×size keys instead of a full re-sort per placement, bitset
     difference scans instead of set operations. *)
 
+(** {2 Mutation}
+
+    The memetic mutation (a dense port of {!Memetic.mutate}) is 1–3
+    random read-class {!transfer}s, each followed by a local prune.  A
+    move is drawn against the state its predecessors left, so drawing
+    and applying interleave; the drawn moves are recorded so that a
+    scored candidate can be rebuilt later by {!replay}. *)
+
+type move = { cls : int; b1 : int; b2 : int; amount : float }
+(** One drawn [transfer t cls ~b1 ~b2 ~amount]. *)
+
 val mutate : Cdbs_util.Rng.t -> t -> t
-(** Dense port of the memetic mutation move (1–3 random read-class
-    transfers followed by a local prune). *)
+(** A mutated child: [copy t], then the drawn moves applied to it.
+    Leaves [t] untouched. *)
+
+val replay : t -> move list -> unit
+(** Apply recorded moves in order.  [replay (copy t) moves] rebuilds,
+    bit for bit, the child a {!trial} of [t] scored. *)
+
+type trial_buffers
+(** Reusable undo buffers for {!trial}; one per thread of trials (they
+    are not safe to share between domains). *)
+
+val trial_buffers : unit -> trial_buffers
+
+val trial :
+  trial_buffers -> Cdbs_util.Rng.t -> t -> (float * float) * move list
+(** [trial buf rng t] scores a mutation of [t] without copying it: it
+    draws the moves from [rng] exactly as {!mutate} does, applies them to
+    [t] in place, reads {!cost}, then restores [t] bit-exactly (held
+    bitsets, assignment rows, [active]/[pinned] vectors in order,
+    [load]/[stored], [upd_pins]) from snapshots taken the first time each
+    backend is touched.  Returns the child's cost and its moves.  Only the
+    scratch fields of [t] keep a trace of the trial. *)
 
 (** {1 Conversions} *)
 

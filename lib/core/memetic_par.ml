@@ -22,11 +22,14 @@ let better (sa, za) (sb, zb) =
   sa < sb -. Eps.assign
   || (abs_float (sa -. sb) <= Eps.assign && za < zb -. Eps.assign)
 
-let compare_cost a b =
-  let ca = Dense.cost a and cb = Dense.cost b in
-  if better ca cb then -1 else if better cb ca then 1 else 0
+let order ca cb = if better ca cb then -1 else if better cb ca then 1 else 0
+let compare_cost a b = order (Dense.cost a) (Dense.cost b)
 
-type island = { mutable members : Dense.t array; rng : Rng.t }
+type island = {
+  mutable members : Dense.t array;
+  rng : Rng.t;
+  buffers : Dense.trial_buffers;
+}
 
 let take k arr = Array.sub arr 0 (min k (Array.length arr))
 
@@ -34,23 +37,38 @@ let take k arr = Array.sub arr 0 (min k (Array.length arr))
    body: offspring by mutation of random parents, then keep the best 2/3
    of the old population and the best 1/3 of the offspring.  The O(n²)
    local-search strategies of the list path are deliberately absent — at
-   dense scale the mutation volume replaces them. *)
+   dense scale the mutation volume replaces them.
+
+   Offspring are scored as in-place trials on their parent (no copy) and
+   only the survivors are materialized, as a copy of the parent plus a
+   replay of the trial's moves — the same child [Dense.mutate] would have
+   built from the same RNG draws. *)
 let generation p isl =
   let parents = isl.members in
   let n_off =
     max (max 3 p.population) (p.mutations_per_parent * Array.length parents)
   in
-  let offspring =
+  let trials =
     Array.init n_off (fun _ ->
-        Dense.mutate isl.rng parents.(Rng.int isl.rng (Array.length parents)))
+        let parent = parents.(Rng.int isl.rng (Array.length parents)) in
+        let cost, moves = Dense.trial isl.buffers isl.rng parent in
+        (cost, parent, moves))
   in
   let pop = max 3 p.population in
   let n_old = max 1 (2 * pop / 3) in
   let n_new = max 1 (pop - n_old) in
   let old_sorted = Array.copy parents in
   Array.stable_sort compare_cost old_sorted;
-  Array.stable_sort compare_cost offspring;
-  isl.members <- Array.append (take n_old old_sorted) (take n_new offspring)
+  Array.stable_sort (fun (ca, _, _) (cb, _, _) -> order ca cb) trials;
+  let survivors =
+    Array.map
+      (fun (_, parent, moves) ->
+        let child = Dense.copy parent in
+        Dense.replay child moves;
+        child)
+      (take n_new trials)
+  in
+  isl.members <- Array.append (take n_old old_sorted) survivors
 
 let best_of members =
   let best = ref members.(0) in
@@ -71,7 +89,11 @@ let improve ?(params = default_params) ?domains ~seed t =
      many domains the pool actually runs. *)
   let islands =
     Array.init p.islands (fun _ ->
-        { members = [| Dense.copy t |]; rng = Rng.split master })
+        {
+          members = [| Dense.copy t |];
+          rng = Rng.split master;
+          buffers = Dense.trial_buffers ();
+        })
   in
   let epochs =
     (max 1 p.generations + p.migration_every - 1) / p.migration_every

@@ -11,7 +11,15 @@
 
     Unlike the list-path {!Memetic}, there is no O(n²·reads²) local
     search: at dense scale the mutation volume (plus migration pressure)
-    does that job. *)
+    does that job.
+
+    Offspring cost no copy to score: each is a {!Dense.trial} on its
+    parent (moves applied in place, cost read, parent restored), and
+    only the children that survive the (λ+µ) cut are materialized, as
+    [Dense.copy parent] plus {!Dense.replay} of the trial's moves.  The
+    result is bit-identical to breeding every child with {!Dense.mutate}.
+    Islands own their members and trial buffers, so trials never cross
+    domains. *)
 
 type params = {
   population : int;

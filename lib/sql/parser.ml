@@ -328,7 +328,11 @@ let parse_insert st =
       List.rev (e :: acc)
     end
   in
-  Insert { target; columns; values = vals [] }
+  let values = vals [] in
+  let nc = List.length columns and nv = List.length values in
+  if nc > 0 && nc <> nv then
+    fail st (Printf.sprintf "INSERT lists %d columns but %d values" nc nv);
+  Insert { target; columns; values }
 
 let parse_update st =
   expect_keyword st "UPDATE";

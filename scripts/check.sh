@@ -86,4 +86,10 @@ dune exec bin/cdbs_cli.exe -- alloc --smoke --check --max-seconds 30 \
   --max-moved-frac 0.05 --json --out BENCH_alloc.json
 test -s BENCH_alloc.json
 
+# Memetic smoke: the island memetic on the same instance, its result
+# checked by the dense checker along with the greedy and the repair.
+dune exec bin/cdbs_cli.exe -- alloc --smoke -s memetic --islands 4 \
+  --domains 1 --generations 4 --check --json --out BENCH_alloc_memetic.json
+test -s BENCH_alloc_memetic.json
+
 echo "check: OK"

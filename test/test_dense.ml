@@ -157,6 +157,215 @@ let prop_memetic_par_deterministic =
       in
       same r1 r2 && same r1 r4 && not_worse)
 
+(* ---- memetic: in-place trials against copy-per-child ---------------- *)
+
+(* Bit-level equality of everything an allocation state means: held
+   bitsets, assignment rows, membership vectors in order, cached sums and
+   pin counts (the scratch fields are excluded). *)
+let same_state (a : Dense.t) (b : Dense.t) =
+  let bits x = Int64.bits_of_float x in
+  let same_floats x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun u v -> bits u = bits v) x y
+  in
+  let vecs v = Array.map Cdbs_util.Vec.to_list v in
+  Array.for_all2 Bytes.equal a.Dense.held b.Dense.held
+  && Array.for_all2 same_floats a.Dense.assign b.Dense.assign
+  && vecs a.Dense.active = vecs b.Dense.active
+  && vecs a.Dense.pinned = vecs b.Dense.pinned
+  && same_floats a.Dense.load b.Dense.load
+  && same_floats a.Dense.stored b.Dense.stored
+  && a.Dense.upd_pins = b.Dense.upd_pins
+  && a.Dense.b_alive = b.Dense.b_alive
+  && a.Dense.c_alive = b.Dense.c_alive
+
+(* Reference: the copy-per-child island memetic, where every child is a
+   full copy plus 1-3 transfers drawn in the RNG order [Dense.mutate]
+   uses.  Sequential — the real one is domain-independent. *)
+let reference_mutate rng (t : Dense.t) =
+  let child = Dense.copy t in
+  let n = Dense.num_backends child and reads = t.Dense.inst.Dense.read_idx in
+  if Array.length reads > 0 && n >= 2 then
+    for _ = 1 to 1 + Rng.int rng 3 do
+      let c = reads.(Rng.int rng (Array.length reads)) in
+      let sources =
+        List.filter
+          (fun b ->
+            child.Dense.b_alive.(b) && child.Dense.assign.(b).(c) > Eps.tiny)
+          (List.init n Fun.id)
+        |> Array.of_list
+      in
+      if Array.length sources > 0 then begin
+        let b1 = sources.(Rng.int rng (Array.length sources)) in
+        let b2 = Rng.int rng n in
+        if b1 <> b2 && child.Dense.b_alive.(b2) then begin
+          let a1 = child.Dense.assign.(b1).(c) in
+          let amount = if Rng.bool rng then a1 else Rng.float rng a1 in
+          Dense.transfer child c ~b1 ~b2 ~amount
+        end
+      end
+    done;
+  child
+
+let reference_improve (p : Memetic_par.params) ~seed t =
+  let cmp = Memetic_par.compare_cost in
+  let best ms =
+    Array.fold_left (fun b m -> if cmp m b < 0 then m else b) ms.(0) ms
+  in
+  let take k a = Array.sub a 0 (min k (Array.length a)) in
+  let master = Rng.create seed in
+  let n_isl = max 1 p.islands and every = max 1 p.migration_every in
+  let isl =
+    Array.init n_isl (fun _ -> (ref [| Dense.copy t |], Rng.split master))
+  in
+  let generation (members, rng) =
+    let parents = !members in
+    let n_off =
+      max (max 3 p.population) (p.mutations_per_parent * Array.length parents)
+    in
+    let off =
+      Array.init n_off (fun _ ->
+          reference_mutate rng parents.(Rng.int rng (Array.length parents)))
+    in
+    let pop = max 3 p.population in
+    let n_old = max 1 (2 * pop / 3) in
+    let old = Array.copy parents in
+    Array.stable_sort cmp old;
+    Array.stable_sort cmp off;
+    members := Array.append (take n_old old) (take (max 1 (pop - n_old)) off)
+  in
+  let left = ref (max 1 p.generations) in
+  while !left > 0 do
+    let g = min every !left in
+    left := !left - g;
+    Array.iter (fun i -> for _ = 1 to g do generation i done) isl;
+    if n_isl > 1 then begin
+      let elites = Array.map (fun (m, _) -> best !m) isl in
+      Array.iteri
+        (fun i (m, _) ->
+          let ms = Array.copy !m in
+          Array.stable_sort cmp ms;
+          ms.(Array.length ms - 1) <-
+            Dense.copy elites.((i - 1 + n_isl) mod n_isl);
+          m := ms)
+        isl
+    end
+  done;
+  Dense.copy
+    (best (Array.append [| t |] (Array.map (fun (m, _) -> best !m) isl)))
+
+let small_params =
+  {
+    Memetic_par.population = 4;
+    generations = 5;
+    mutations_per_parent = 2;
+    islands = 3;
+    migration_every = 2;
+  }
+
+(* [improve] at 1 and 2 domains equals the reference on [assign], [held]
+   and cost; the input is left as it was. *)
+let improve_matches_reference ?(params = small_params) ~seed t =
+  let before = Dense.copy t in
+  let expect = reference_improve params ~seed t in
+  List.for_all
+    (fun domains ->
+      let got = Memetic_par.improve ~params ~domains ~seed t in
+      Array.for_all2 Bytes.equal got.Dense.held expect.Dense.held
+      && got.Dense.assign = expect.Dense.assign
+      && Dense.cost got = Dense.cost expect
+      && same_state t before)
+    [ 1; 2 ]
+
+let prop_memetic_matches_reference =
+  QCheck.Test.make ~count:60 ~name:"memetic equals the copy-per-child reference"
+    (QCheck.pair Gen.scenario_arbitrary QCheck.small_nat)
+    (fun ((w, backends), seed) ->
+      improve_matches_reference ~seed
+        (Dense.of_allocation (Greedy.allocate w backends)))
+
+let test_memetic_reference_synthetic () =
+  let inst =
+    Dense.synthetic ~rng:(Rng.create 17) ~fragments:20_000 ~reads:5_000
+      ~updates:1_200 ~backends:20 ()
+  in
+  let params =
+    { small_params with population = 6; generations = 4; islands = 4 }
+  in
+  Alcotest.(check bool) "same as reference" true
+    (improve_matches_reference ~params ~seed:3 (Dense.greedy inst))
+
+(* A 1-safe repair that reweights read classes to zero may not prune, so
+   the zeroed assignments stay behind in the [active] vectors. *)
+let stale_state seed =
+  let rng = Rng.create seed in
+  let inst =
+    Dense.synthetic ~rng ~fragments:400 ~reads:120 ~updates:30 ~backends:8 ()
+  in
+  let t = Dense.greedy inst in
+  let deltas =
+    List.init 12 (fun i ->
+        Incremental.Reweight { cls = inst.Dense.read_idx.(i * 7); weight = 0. })
+    @ Incremental.random_delta ~rng ~frac:0.05 t
+  in
+  fst (Incremental.repair ~k:1 t deltas)
+
+let has_stale (t : Dense.t) =
+  let found = ref false in
+  Array.iteri
+    (fun b v ->
+      Cdbs_util.Vec.iter
+        (fun c -> if t.Dense.assign.(b).(c) = 0. then found := true)
+        v)
+    t.Dense.active;
+  !found
+
+let test_memetic_reference_stale () =
+  let t = stale_state 31 in
+  Alcotest.(check bool)
+    "active vectors hold stale zero entries" true (has_stale t);
+  Alcotest.(check bool) "same as reference" true
+    (improve_matches_reference ~seed:5 t)
+
+(* A trial leaves its parent bit-identical; replaying its moves on a copy
+   reproduces its cost exactly; and [mutate] from the same RNG state is
+   that copy plus replay. *)
+let trial_contract buf ~seed (t : Dense.t) =
+  let before = Dense.copy t in
+  let cost, moves = Dense.trial buf (Rng.create seed) t in
+  let replayed = Dense.copy t in
+  Dense.replay replayed moves;
+  let mutated = Dense.mutate (Rng.create seed) t in
+  same_state t before
+  && Dense.cost replayed = cost
+  && same_state mutated replayed
+
+let prop_trial_restores =
+  QCheck.Test.make ~count:200 ~name:"trial restores its parent bit-exactly"
+    (QCheck.pair Gen.scenario_arbitrary QCheck.small_nat)
+    (fun ((w, backends), seed) ->
+      let t = Dense.of_allocation (Greedy.allocate w backends) in
+      let buf = Dense.trial_buffers () in
+      List.for_all
+        (fun s -> trial_contract buf ~seed:s t)
+        [ seed; seed + 1; seed + 2 ])
+
+let prop_trial_restores_synthetic =
+  QCheck.Test.make ~count:40
+    ~name:"trial restores synthetic and repaired states"
+    QCheck.small_nat (fun seed ->
+      let t =
+        if seed mod 2 = 0 then stale_state seed
+        else
+          Dense.greedy
+            (Dense.synthetic ~rng:(Rng.create seed) ~fragments:600 ~reads:150
+               ~updates:40 ~backends:12 ())
+      in
+      let buf = Dense.trial_buffers () in
+      List.for_all
+        (fun s -> trial_contract buf ~seed:s t)
+        (List.init 8 (( + ) seed)))
+
 let test_repair_budget_zero () =
   let rng = Rng.create 3 in
   let inst =
@@ -441,6 +650,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_repair_clean;
     QCheck_alcotest.to_alcotest prop_repair_preserves_ksafety;
     QCheck_alcotest.to_alcotest prop_memetic_par_deterministic;
+    QCheck_alcotest.to_alcotest prop_memetic_matches_reference;
+    Alcotest.test_case "memetic equals reference on a 2e4-fragment instance"
+      `Quick test_memetic_reference_synthetic;
+    Alcotest.test_case "memetic equals reference with stale active entries"
+      `Quick test_memetic_reference_stale;
+    QCheck_alcotest.to_alcotest prop_trial_restores;
+    QCheck_alcotest.to_alcotest prop_trial_restores_synthetic;
     Alcotest.test_case "repair budget=0 adds no rebalance copies" `Quick
       test_repair_budget_zero;
     Alcotest.test_case "repair on 1% delta moves few fragments" `Quick

@@ -94,6 +94,29 @@ let test_parse_insert () =
       Alcotest.(check int) "values" 2 (List.length values)
   | _ -> Alcotest.fail "expected insert"
 
+(* A column/value count mismatch is a parse error at the front door, not
+   an [Invalid_argument] out of the analyzer. *)
+let test_submit_insert_arity () =
+  let schema =
+    [
+      Cdbs_storage.Schema.table "t" ~primary_key:[ "a" ]
+        [ ("a", Cdbs_storage.Schema.T_int); ("b", Cdbs_storage.Schema.T_int) ];
+    ]
+  in
+  let c =
+    Cdbs_cluster.Controller.create ~schema ~rows:[ ("t", 10) ] ~backends:2
+      ~seed:1
+  in
+  match
+    Cdbs_cluster.Controller.submit c "INSERT INTO t (a) VALUES (1, 'q')"
+  with
+  | Error m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "parse error reported: %s" m)
+        true
+        (String.starts_with ~prefix:"parse error: " m)
+  | Ok _ -> Alcotest.fail "mismatched INSERT accepted"
+
 let test_parse_update () =
   match parse_ok "UPDATE t SET a = a + 1, b = 'y' WHERE a = 2" with
   | Ast.Update { assignments; where; _ } ->
@@ -138,6 +161,8 @@ let test_parse_errors () =
       "SELECT"; "SELECT FROM t"; "SELECT a FROM"; "INSERT t VALUES (1)";
       "UPDATE t a = 1"; "DELETE t"; "SELECT a FROM t WHERE"; "FOO BAR";
       "SELECT a FROM t extra garbage here";
+      (* column/value count mismatch *)
+      "INSERT INTO t (a) VALUES (1, 'q')"; "INSERT INTO t (a, b) VALUES (1)";
     ]
 
 (* ---------------- analyzer ---------------- *)
@@ -286,6 +311,8 @@ let suite =
     Alcotest.test_case "parser: comma join" `Quick test_parse_comma_join;
     Alcotest.test_case "parser: group/having" `Quick test_parse_group_having;
     Alcotest.test_case "parser: insert" `Quick test_parse_insert;
+    Alcotest.test_case "controller: insert arity mismatch" `Quick
+      test_submit_insert_arity;
     Alcotest.test_case "parser: update" `Quick test_parse_update;
     Alcotest.test_case "parser: delete" `Quick test_parse_delete;
     Alcotest.test_case "parser: boolean precedence" `Quick
