@@ -31,15 +31,38 @@ let granularity_arg =
     & info [ "g"; "granularity" ] ~docv:"GRANULARITY"
         ~doc:"Classification granularity: $(b,table) or $(b,column).")
 
+(* Numeric converters that check the range at parse time, so an
+   out-of-range flag ends in a usage error rather than an exception from
+   deep inside the library. *)
+let checked conv ~ok ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int =
+  checked Arg.int ~ok:(fun n -> n > 0) ~what:"a positive integer"
+
+let non_negative_int =
+  checked Arg.int ~ok:(fun n -> n >= 0) ~what:"a non-negative integer"
+
+let positive_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x > 0.)
+    ~what:"a positive finite number"
+
 let backends_arg =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "n"; "backends" ] ~docv:"N" ~doc:"Number of backends.")
 
 let loads_arg =
   Arg.(
     value
-    & opt (list float) []
+    & opt (list positive_float) []
     & info [ "loads" ] ~docv:"L1,L2,..."
         ~doc:
           "Relative backend performances for a heterogeneous cluster \
@@ -223,7 +246,7 @@ let simulate_cmd =
   in
   let requests_arg =
     Arg.(
-      value & opt int 2000
+      value & opt non_negative_int 2000
       & info [ "r"; "requests" ] ~docv:"N" ~doc:"Requests to simulate.")
   in
   let run name strategy n loads requests seed =

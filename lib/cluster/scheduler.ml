@@ -74,35 +74,6 @@ let live_replicas t c =
   done;
   !n
 
-(* The schema records which backends a class was assigned to; the scheduler
-   routes among those.  Backends that merely happen to hold the data (e.g.
-   k-safety standby replicas) are used only when no assigned backend
-   exists.  In dynamic mode the placement is mid-migration, so routing
-   relies on the live fragment sets alone. *)
-let eligible_for_read ?healthy t c =
-  let all = List.init (num_nodes t) (fun b -> b) in
-  let base =
-    if t.dynamic then
-      List.filter (fun b -> read_capable t b && serves t b c) all
-    else
-      let assigned =
-        List.filter
-          (fun b -> read_capable t b && Allocation.get_assign t.alloc b c > 0.)
-          all
-      in
-      if assigned <> [] then assigned
-      else
-        List.filter
-          (fun b -> read_capable t b && Allocation.holds t.alloc b c)
-          all
-  in
-  match healthy with
-  | None -> base
-  | Some ok -> (
-      (* Fail open: when every replica's breaker is open, serving from a
-         suspect backend beats refusing the read outright. *)
-      match List.filter ok base with [] -> base | filtered -> filtered)
-
 let find_class t id = Hashtbl.find_opt t.class_by_id id
 
 let targets_for_update t (c : Query_class.t) =
@@ -133,13 +104,18 @@ let pending t ~backend ~now = max 0. (t.free_at.(backend) -. now)
 let free_at t ~backend = t.free_at.(backend)
 let book t ~backend ~finish = t.free_at.(backend) <- finish
 
-(* Allocation-free equivalent of [eligible_for_read] + least-pending fold:
-   one pass decides which base set applies (assigned vs holders) and
+(* The schema records which backends a class was assigned to; reads route
+   among those.  Backends that merely happen to hold the data (e.g.
+   k-safety standby replicas) are used only when no assigned backend
+   exists.  In dynamic mode the placement is mid-migration, so routing
+   relies on the live fragment sets alone.
+
+   One pass decides which base set applies (assigned vs holders) and
    whether the health filter leaves anyone (fail open if not), a second
    pass takes the first minimum-pending candidate.  [exclude] drops one
    backend from the final selection only — the base-set and fail-open
-   decisions still see it, mirroring how the hedge path filtered the
-   candidate list after [eligible_for_read]. *)
+   decisions still see it, so a hedge's second leg sees the same
+   candidate set as its primary. *)
 let best_read_target ?healthy ?(exclude = -1) t ~now (c : Query_class.t) =
   let n = num_nodes t in
   let in_base =
@@ -181,33 +157,3 @@ let best_read_target ?healthy ?(exclude = -1) t ~now (c : Query_class.t) =
     end
   done;
   if !best < 0 then None else Some !best
-
-let route ?healthy t ~now (r : Request.t) =
-  match Hashtbl.find_opt t.class_by_id r.Request.class_id with
-  | None -> Error ("unknown query class " ^ r.Request.class_id)
-  | Some c ->
-      if r.Request.is_update then begin
-        match targets_for_update t c with
-        | [] -> Error ("update class " ^ c.Query_class.id ^ " has no replica")
-        | targets -> Ok targets
-      end
-      else begin
-        match eligible_for_read ?healthy t c with
-        | [] -> Error ("read class " ^ c.Query_class.id ^ " is not served")
-        | candidates ->
-            (* Least pending request first. *)
-            let best =
-              List.fold_left
-                (fun acc b ->
-                  match acc with
-                  | None -> Some b
-                  | Some cur ->
-                      if
-                        pending t ~backend:b ~now
-                        < pending t ~backend:cur ~now
-                      then Some b
-                      else acc)
-                None candidates
-            in
-            Ok [ Option.get best ]
-      end

@@ -33,20 +33,16 @@ val live_replicas : t -> Cdbs_core.Query_class.t -> int
 (** Up, caught-up nodes whose live set contains every fragment of the
     class — the replicas a read can actually land on right now. *)
 
-val eligible_for_read :
-  ?healthy:(int -> bool) -> t -> Cdbs_core.Query_class.t -> int list
-(** Read candidates for a class.  [healthy] is an optional routing filter
-    (e.g. a circuit breaker's [allows]): candidates failing it are
-    steered around — but if {e every} candidate fails it the unfiltered
-    list is returned (fail open), since a slow replica still beats an
-    unavailable answer.  Updates are never filtered. *)
-
 val targets_for_update : t -> Cdbs_core.Query_class.t -> int list
+(** Backends an update of the class must be applied on (ROWA): every up
+    node — stale ones included — whose live set holds any of the class's
+    fragments, in backend order.  [[]] when no live replica holds the
+    data. *)
 
 val find_class : t -> string -> Cdbs_core.Query_class.t option
-(** Indexed class lookup (the table {!route} itself routes through) —
-    callers on a per-request hot path use this instead of scanning the
-    allocation's class array. *)
+(** Indexed class lookup — callers on a per-request hot path use this
+    instead of scanning the allocation's class array.  [None] for an
+    unknown class, which no backend can serve. *)
 
 val best_read_target :
   ?healthy:(int -> bool) ->
@@ -55,17 +51,23 @@ val best_read_target :
   now:float ->
   Cdbs_core.Query_class.t ->
   int option
-(** The backend {!route} would pick for a read of this class — same base
-    set, fail-open health filter and first-minimum-pending tie-break —
-    computed in two indexed passes with no intermediate lists.  [exclude]
-    removes one backend from the final selection only (for hedged second
-    dispatches); the fail-open decision still counts it. *)
+(** The backend a read of this class goes to: among the read candidates,
+    the one with the least pending work (the first such backend on a tie),
+    or [None] when no backend can serve it.  Computed in two indexed passes
+    with no intermediate lists.
 
-val route :
-  ?healthy:(int -> bool) -> t -> now:float -> Request.t -> (int list, string) result
-(** Backends that must process the request (singleton for reads).  Pending
-    work bookkeeping is updated by {!book}.  [healthy] filters read
-    candidates as in {!eligible_for_read}. *)
+    The candidates are the up, caught-up backends the allocation assigned
+    the class to; only when there are none, every up, caught-up backend
+    holding the class's data (k-safety standby replicas).  A dynamic
+    scheduler uses the live fragment sets alone.
+
+    [healthy] is an optional routing filter (e.g. a circuit breaker's
+    [allows]): candidates failing it are steered around — but if {e every}
+    candidate fails it the filter is ignored (fail open), since a slow
+    replica still beats an unavailable answer.  Updates are never
+    filtered.  [exclude] removes one backend from the final selection only
+    (for hedged second dispatches); the fail-open decision still counts
+    it.  Pending work bookkeeping is updated by {!book}. *)
 
 val book : t -> backend:int -> finish:float -> unit
 (** Record that the backend's queue now drains at [finish]. *)

@@ -32,27 +32,54 @@ type outcome = {
   errors : int;
 }
 
-(* (p50, p95, p99) of a response-time list; zeros when empty. *)
+(* (p50, p95, p99) of a response-time list, from one sort; zeros when
+   empty. *)
 let percentiles_of = function
   | [] -> (0., 0., 0.)
-  | rs ->
-      let p q = Cdbs_util.Stats.percentile q rs in
-      (p 50., p 95., p 99.)
+  | rs -> (
+      match Cdbs_util.Stats.percentiles [ 50.; 95.; 99. ] rs with
+      | [ p50; p95; p99 ] -> (p50, p95, p99)
+      | _ -> assert false)
 
-let find_class alloc id =
-  let classes = Allocation.classes alloc in
-  let rec go i =
-    if i >= Array.length classes then None
-    else if classes.(i).Query_class.id = id then Some classes.(i)
-    else go (i + 1)
-  in
-  go 0
+(* The request-level outcome, given the completed requests' response
+   times in arrival order (summed in that order, so the mean does not
+   depend on the order in which requests completed). *)
+let outcome_of sched ~busy ~errors rs =
+  let makespan = ref 0. in
+  for b = 0 to Array.length busy - 1 do
+    if Scheduler.free_at sched ~backend:b > !makespan then
+      makespan := Scheduler.free_at sched ~backend:b
+  done;
+  let makespan = !makespan and completed = List.length rs in
+  let p50, p95, p99 = percentiles_of rs in
+  {
+    completed;
+    makespan;
+    throughput =
+      (if makespan > 0. then float_of_int completed /. makespan else 0.);
+    avg_response =
+      (if completed > 0 then
+         List.fold_left ( +. ) 0. rs /. float_of_int completed
+       else 0.);
+    max_response = List.fold_left (fun m r -> if r > m then r else m) 0. rs;
+    p50_response = p50;
+    p95_response = p95;
+    p99_response = p99;
+    busy;
+    utilization =
+      Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
+    errors;
+  }
 
 let class_mb alloc (r : Request.t) =
   match r.Request.cost_mb with
   | Some mb -> mb
   | None -> (
-      match find_class alloc r.Request.class_id with
+      match
+        Array.find_opt
+          (fun c -> c.Query_class.id = r.Request.class_id)
+          (Allocation.classes alloc)
+      with
       | Some c -> Query_class.size c
       | None -> 0.)
 
@@ -71,100 +98,6 @@ let sorted_by_arrival requests =
     List.stable_sort
       (fun (a : Request.t) b -> Float.compare a.Request.arrival b.Request.arrival)
       requests
-
-let run ~respect_arrivals config alloc requests =
-  let n = Allocation.num_backends alloc in
-  if Array.length config.speeds <> n then
-    invalid_arg "Simulator.run: speeds length <> backend count";
-  let requests =
-    if respect_arrivals then sorted_by_arrival requests else requests
-  in
-  let sched = Scheduler.create alloc in
-  let busy = Array.make n 0. in
-  let completed = ref 0 and errors = ref 0 in
-  let response_sum = ref 0. and response_max = ref 0. in
-  let response_list = ref [] in
-  let resident =
-    Array.init n (fun b ->
-        Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
-  in
-  List.iter
-    (fun (r : Request.t) ->
-      let now = if respect_arrivals then r.Request.arrival else 0. in
-      match Scheduler.route sched ~now r with
-      | Error _ -> incr errors
-      | Ok targets ->
-          let mb = class_mb alloc r in
-          (* The protocol decides which replicas sit on the request's
-             critical path; a read always has exactly one target. *)
-          let split =
-            if r.Request.is_update then
-              Protocol.plan config.protocol ~targets
-            else { Protocol.sync = targets; async = [] }
-          in
-          let replicas =
-            if r.Request.is_update then List.length split.Protocol.sync else 1
-          in
-          let serve b ~factor =
-            let service =
-              factor
-              *. Cost_model.service_time config.cost ~class_mb:mb
-                   ~resident_mb:resident.(b) ~speed:config.speeds.(b)
-                   ~is_update:r.Request.is_update ~replicas
-            in
-            let start = max now (Scheduler.free_at sched ~backend:b) in
-            let finish = start +. service in
-            Scheduler.book sched ~backend:b ~finish;
-            busy.(b) <- busy.(b) +. service;
-            finish
-          in
-          let finish_all = ref 0. in
-          List.iter
-            (fun b ->
-              let finish = serve b ~factor:1. in
-              if finish > !finish_all then finish_all := finish)
-            split.Protocol.sync;
-          (* Asynchronous replica application: occupies the queues but not
-             the response. *)
-          List.iter
-            (fun (b, factor) -> ignore (serve b ~factor))
-            split.Protocol.async;
-          incr completed;
-          let response = !finish_all -. now in
-          response_sum := !response_sum +. response;
-          response_list := response :: !response_list;
-          if response > !response_max then response_max := response)
-    requests;
-  let p50, p95, p99 = percentiles_of !response_list in
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
-  {
-    completed = !completed;
-    makespan;
-    throughput = (if makespan > 0. then float_of_int !completed /. makespan else 0.);
-    avg_response =
-      (if !completed > 0 then !response_sum /. float_of_int !completed else 0.);
-    max_response = !response_max;
-    p50_response = p50;
-    p95_response = p95;
-    p99_response = p99;
-    busy;
-    utilization =
-      Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
-    errors = !errors;
-  }
-
-let run_batch config alloc requests =
-  run ~respect_arrivals:false config alloc requests
-
-let run_open config alloc requests =
-  run ~respect_arrivals:true config alloc requests
 
 (* ------------------------------------------------------------------ *)
 (* Open-mode execution during a live migration                         *)
@@ -214,9 +147,7 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
   let sched = Scheduler.create_dynamic target ~live:plan.Planner.old_sets in
   let delta : unit Delta.t = Delta.create () in
   let busy = Array.make n 0. in
-  let completed = ref 0 and errors = ref 0 in
-  let response_sum = ref 0. and response_max = ref 0. in
-  let responses = ref [] in
+  let errors = ref 0 and responses = ref [] in
   let replayed_mb = ref 0. in
   let classes = Array.to_list (Allocation.classes target) in
   let mins =
@@ -308,34 +239,43 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
     (fun (r : Request.t) ->
       let now = r.Request.arrival in
       apply_events now;
-      match Scheduler.route sched ~now r with
-      | Error _ -> incr errors
-      | Ok targets ->
-          let mb = class_mb target r in
+      (* Reads go to the least-pending live replica; updates fan out to
+         every live node holding any touched fragment, split by the
+         protocol into the critical path and background application. *)
+      let split =
+        match Scheduler.find_class sched r.Request.class_id with
+        | None -> None
+        | Some c when r.Request.is_update -> (
+            match Scheduler.targets_for_update sched c with
+            | [] -> None
+            | targets -> Some (c, Protocol.plan config.protocol ~targets))
+        | Some c ->
+            Option.map
+              (fun b -> (c, { Protocol.sync = [ b ]; async = [] }))
+              (Scheduler.best_read_target sched ~now c)
+      in
+      match split with
+      | None -> incr errors
+      | Some (c, split) ->
+          let mb =
+            match r.Request.cost_mb with
+            | Some mb -> mb
+            | None -> Query_class.size c
+          in
           (* Updates arriving while a referenced fragment is on the wire
              go to the delta journal and are replayed at cutover. *)
           if r.Request.is_update then begin
-            match find_class target r.Request.class_id with
-            | Some c ->
-                let frags = c.Query_class.fragments in
-                let per_fragment =
-                  mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
-                in
-                Fragment.Set.iter
-                  (fun f ->
-                    ignore
-                      (Delta.capture delta ~fragment:f ~item:()
-                         ~mb:per_fragment))
-                  frags
-            | None -> ()
+            let frags = c.Query_class.fragments in
+            let per_fragment =
+              mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
+            in
+            Fragment.Set.iter
+              (fun f ->
+                ignore
+                  (Delta.capture delta ~fragment:f ~item:() ~mb:per_fragment))
+              frags
           end;
-          let split =
-            if r.Request.is_update then Protocol.plan config.protocol ~targets
-            else { Protocol.sync = targets; async = [] }
-          in
-          let replicas =
-            if r.Request.is_update then List.length split.Protocol.sync else 1
-          in
+          let replicas = List.length split.Protocol.sync in
           let serve b ~factor =
             (* Background copy I/O contends with foreground work on the
                nodes it touches. *)
@@ -368,22 +308,10 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
           List.iter
             (fun (b, factor) -> ignore (serve b ~factor))
             split.Protocol.async;
-          incr completed;
-          let response = !finish_all -. now in
-          response_sum := !response_sum +. response;
-          if response > !response_max then response_max := response;
-          responses := (now, response) :: !responses)
+          responses := (now, !finish_all -. now) :: !responses)
     requests;
   (* Requests may dry up before the rebalance completes: finish it. *)
   apply_events infinity;
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
   let target_deployed =
     let ok = ref true in
     for b = 0 to n - 1 do
@@ -396,7 +324,7 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
     done;
     !ok
   in
-  let p50, p95, p99 = percentiles_of (List.map snd !responses) in
+  let responses = List.rev !responses in
   (match (monitor, telemetry) with
   | Some m, Some sink when monitor_owns_attach ->
       Cdbs_analysis.Monitor.detach m sink
@@ -407,24 +335,7 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
         ~context:"Simulator.run_open_with_migration" m
   | _ -> ());
   {
-    run =
-      {
-        completed = !completed;
-        makespan;
-        throughput =
-          (if makespan > 0. then float_of_int !completed /. makespan else 0.);
-        avg_response =
-          (if !completed > 0 then !response_sum /. float_of_int !completed
-           else 0.);
-        max_response = !response_max;
-        p50_response = p50;
-        p95_response = p95;
-        p99_response = p99;
-        busy;
-        utilization =
-          Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
-        errors = !errors;
-      };
+    run = outcome_of sched ~busy ~errors:!errors (List.map snd responses);
     copied_mb = plan.Planner.copy_mb;
     replayed_mb = !replayed_mb;
     copy_done = schedule.Schedule.copy_done;
@@ -434,7 +345,7 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
         (fun ((c : Query_class.t), m) -> (c.Query_class.id, !m))
         mins;
     target_deployed;
-    responses = List.rev !responses;
+    responses;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -512,15 +423,14 @@ let dyn_time = function
   | Catchup_done { at; _ } -> at
   | Hedge_at { at; _ } -> at
 
-(* Everything the fault engine's event clock processes, unified so it can
-   ride a single priority queue.  [Partition] and [ZoneOutage] schedule
-   entries are expanded into start/heal pairs before the run so the clock
-   only ever sees instantaneous events. *)
+(* Everything the fault engine's event clock processes besides arrivals,
+   unified so it can ride a single priority queue.  [Partition] and
+   [ZoneOutage] schedule entries are expanded into start/heal pairs before
+   the run so the clock only ever sees instantaneous events. *)
 type sim_event =
   | Ev_fault of Fault.timed
   | Ev_cut of { backends : int list; heal : bool; zone : int option }
   | Ev_dyn of dyn_event
-  | Ev_arrival of Request.t
 
 module Resilience = Cdbs_resilience
 
@@ -588,16 +498,17 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     Array.init n (fun b ->
         Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
   in
-  (* uid -> (original arrival, response); reads are retracted from here
-     when a crash cancels them and re-inserted when a retry lands. *)
-  let results : (int, float * float) Hashtbl.t =
-    Hashtbl.create (max 16 offered)
-  in
+  (* Per request uid: its original arrival and its response ([nan] while
+     not completed).  Reads are retracted ([nan] again) when a crash or a
+     shed cancels them and re-recorded when a retry lands.  Uids are handed
+     out in arrival-pop order, so uid order is (arrival, uid) order. *)
+  let arrival_of = Array.make offered 0. in
+  let response = Array.make offered nan in
   let retried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let pending_catchup : (int, recovery) Hashtbl.t = Hashtbl.create 4 in
   let retries = ref 0 and aborted = ref 0 and timeouts = ref 0 in
-  (* Resilience defenses: each independently optional; all [None] (the
-     default) reproduces the legacy engine exactly. *)
+  (* Resilience defenses: each independently optional; all [None] by
+     default. *)
   let res =
     match resilience with Some r -> r | None -> Resilience.Policy.off
   in
@@ -647,13 +558,12 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let recoveries = ref [] in
   let cur_down = ref 0 and max_down = ref 0 in
   let uid = ref 0 in
-  (* The event clock lives on one priority queue.  Ranks order the three
-     event categories at equal instants exactly as the historical
-     three-way sorted-list merge did — faults first, then internal events
-     (retries, catch-ups, hedges), then arrivals — and insertion order
-     breaks the remaining ties (FIFO within a category), so outcomes are
-     bit-identical to the list-based engine. *)
-  let q : sim_event Heap.t = Heap.create ~capacity:(max 256 (2 * offered)) () in
+  (* Faults and internal events (retries, catch-ups, hedges) live on one
+     priority queue.  Ranks order them at equal instants — faults first,
+     then internal events — and insertion order breaks the remaining ties
+     (FIFO within a category).  Arrivals, which come last at any instant,
+     stay in their sorted list; the clock merges the two. *)
+  let q : sim_event Heap.t = Heap.create () in
   List.iter
     (fun (f : Fault.timed) ->
       match f.Fault.event with
@@ -681,10 +591,6 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
       | Fault.Workload_shift _ ->
           Heap.add q ~time:f.Fault.at ~rank:0 (Ev_fault f))
     (Fault.sort faults);
-  List.iter
-    (fun (r : Request.t) ->
-      Heap.add q ~time:r.Request.arrival ~rank:2 (Ev_arrival r))
-    requests;
   let insert_dyn e = Heap.add q ~time:(dyn_time e) ~rank:1 (Ev_dyn e) in
   (* Service quote: what booking this work on [b] right now would cost,
      without booking it.  Admission and deadline checks run on the quote;
@@ -705,31 +611,44 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | Bk_update -> "update"
     | Bk_catchup -> "catchup"
   in
+  (* Without a sink the attribute list is never built: this fires on
+     every booking. *)
   let serve_event ~at ~kind b ~start ~finish =
-    let base =
-      [
-        ("backend", Tel.Trace.Int b);
-        ("kind", Tel.Trace.Str (kind_label kind));
-        ("start", Tel.Trace.Float start);
-        ("finish", Tel.Trace.Float finish);
-      ]
-    in
-    (* Reads carry their query-class id so online estimators can harvest
-       measured per-class service times straight off the trace. *)
-    let attrs =
-      match kind with
-      | Bk_read rc -> base @ [ ("cls", Tel.Trace.Str rc.rc_class) ]
-      | Bk_update | Bk_catchup -> base
-    in
-    Tel.Sink.ev telemetry ~at "backend.serve" attrs
+    match telemetry with
+    | None -> ()
+    | Some _ ->
+        let base =
+          [
+            ("backend", Tel.Trace.Int b);
+            ("kind", Tel.Trace.Str (kind_label kind));
+            ("start", Tel.Trace.Float start);
+            ("finish", Tel.Trace.Float finish);
+          ]
+        in
+        (* Reads carry their query-class id so online estimators can
+           harvest measured per-class service times straight off the
+           trace. *)
+        let attrs =
+          match kind with
+          | Bk_read rc -> base @ [ ("cls", Tel.Trace.Str rc.rc_class) ]
+          | Bk_update | Bk_catchup -> base
+        in
+        Tel.Sink.ev telemetry ~at "backend.serve" attrs
+  in
+  (* Bookings are kept only for what cancels or inspects queued work:
+     faults, admission control and hedging.  Without any of them nothing
+     reads the lists, so they stay empty. *)
+  let track_inflight =
+    faults <> [] || Option.is_some admission || Option.is_some hedge
   in
   let commit ~mb ~kind b (start, finish, service) =
     Scheduler.book sched ~backend:b ~finish;
     busy.(b) <- busy.(b) +. service;
-    inflight.(b) <-
-      { bk_start = start; bk_finish = finish; bk_service = service;
-        bk_mb = mb; bk_kind = kind }
-      :: inflight.(b);
+    if track_inflight then
+      inflight.(b) <-
+        { bk_start = start; bk_finish = finish; bk_service = service;
+          bk_mb = mb; bk_kind = kind }
+        :: inflight.(b);
     serve_event ~at:!now_ref ~kind b ~start ~finish;
     finish
   in
@@ -775,7 +694,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | None -> false
     | Some (rc, it) ->
         ignore (cancel_booking b it ~from_:now);
-        Hashtbl.remove results rc.rc_uid;
+        response.(rc.rc_uid) <- nan;
         incr shed;
         incr aborted;
         Tel.Sink.ev telemetry ~at:now "request.shed"
@@ -878,8 +797,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                   wasted_work := !wasted_work +. service
                 end
                 else begin
-                  Hashtbl.replace results rc.rc_uid
-                    (rc.rc_arrival, finish -. rc.rc_arrival);
+                  response.(rc.rc_uid) <- finish -. rc.rc_arrival;
                   maybe_hedge ~now rc b finish
                 end
               in
@@ -921,32 +839,32 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     (* Updates bypass every defense: admission never sheds them, deadlines
        never abandon them, breakers never steer them — ROWA requires each
        live replica of a written partition to apply every update. *)
-    match Scheduler.route sched ~now r with
-    | Error _ ->
+    let targets =
+      match Scheduler.find_class sched r.Request.class_id with
+      | None -> None
+      | Some c -> (
+          match Scheduler.targets_for_update sched c with
+          | [] -> None
+          | targets -> Some (c, targets))
+    in
+    match targets with
+    | None ->
         (* No live replica holds the data: ROWA cannot commit anywhere.
            Updates are not retried (see {!Cdbs_faults.Retry}). *)
         incr aborted
-    | Ok targets ->
+    | Some (c, targets) ->
         let mb =
           match r.Request.cost_mb with
           | Some mb -> mb
-          | None -> (
-              match Scheduler.find_class sched r.Request.class_id with
-              | Some c -> Query_class.size c
-              | None -> 0.)
+          | None -> Query_class.size c
         in
         (* Crashed backends holding the touched fragments journal the
            volume; it is replayed when they rejoin. *)
-        (match Scheduler.find_class sched r.Request.class_id with
-        | Some c ->
-            let frags = c.Query_class.fragments in
-            let per =
-              mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
-            in
-            Fragment.Set.iter
-              (fun f -> ignore (Delta.capture delta ~fragment:f ~item:() ~mb:per))
-              frags
-        | None -> ());
+        let frags = c.Query_class.fragments in
+        let per = mb /. float_of_int (max 1 (Fragment.Set.cardinal frags)) in
+        Fragment.Set.iter
+          (fun f -> ignore (Delta.capture delta ~fragment:f ~item:() ~mb:per))
+          frags;
         let split = Protocol.plan config.protocol ~targets in
         let replicas = List.length split.Protocol.sync in
         let finish_all = ref now in
@@ -965,7 +883,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                  ~factor))
           split.Protocol.async;
         incr completed_updates;
-        Hashtbl.replace results u (r.Request.arrival, !finish_all -. now)
+        response.(u) <- !finish_all -. now
   in
   (* Take a backend out of service.  [cut = false] is a crash: clients see
      connections reset and retry immediately.  [cut = true] is a network
@@ -1007,7 +925,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                    instant and re-issues against a surviving replica; under
                    a partition nothing resets, so it waits out the network
                    timeout first (slow failure). *)
-                Hashtbl.remove results rc.rc_uid;
+                response.(rc.rc_uid) <- nan;
                 schedule_retry
                   ~extra_delay:(if cut then partition_timeout else 0.)
                   ~now rc
@@ -1176,9 +1094,8 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         (* Speculatively dispatch the read to the next-best replica and
            keep whichever leg completes first; the loser's unserved tail
            is cancelled on the event clock. *)
-        match Hashtbl.find_opt results rc.rc_uid with
-        | Some (arr, resp) when arr +. resp > now -> (
-            let f1 = arr +. resp in
+        match rc.rc_arrival +. response.(rc.rc_uid) with
+        | f1 when f1 > now -> (
             match find_read_booking primary rc.rc_uid with
             | None -> () (* crash-cancelled or shed since it was armed *)
             | Some it1 -> (
@@ -1231,8 +1148,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                             let refund = cancel_booking primary it1 ~from_:f2 in
                             wasted_work :=
                               !wasted_work +. (it1.bk_service -. refund);
-                            Hashtbl.replace results rc.rc_uid
-                              (rc.rc_arrival, f2 -. rc.rc_arrival);
+                            response.(rc.rc_uid) <- f2 -. rc.rc_arrival;
                             breaker_success ~now b2 ~latency:(f2 -. now)
                           end
                           else begin
@@ -1249,65 +1165,70 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                         end)))
         | _ -> () (* completed before the hedge fired, or mid-retry *))
   in
-  (* The event clock: pop events in (time, rank, insertion) order.
-     Crucially, fault events keep being processed after the last
-     arrival — a crash still cancels whatever is queued. *)
+  let arrive (r : Request.t) =
+    let u = !uid in
+    incr uid;
+    arrival_of.(u) <- r.Request.arrival;
+    if r.Request.is_update then handle_update ~now:r.Request.arrival r u
+    else
+      handle_read ~now:r.Request.arrival
+        {
+          rc_uid = u;
+          rc_class = r.Request.class_id;
+          rc_cost_mb = r.Request.cost_mb;
+          rc_arrival = r.Request.arrival;
+          rc_attempt = 0;
+          rc_deadline = deadline_of ~arrival:r.Request.arrival;
+        }
+  in
+  (* The event clock: events in (time, rank, insertion) order, arrivals
+     ranking last, so the next arrival goes first only when it is strictly
+     earlier than the queue's minimum.  Crucially, fault events keep being
+     processed after the last arrival — a crash still cancels whatever is
+     queued. *)
   let events_processed = ref 0 in
-  let rec loop () =
-    match Heap.pop_timed q with
-    | None -> ()
-    | Some (at, ev) ->
+  let rec loop arrivals =
+    let arrival_first =
+      match (arrivals, Heap.min_time q) with
+      | [], _ -> false
+      | _ :: _, None -> true
+      | (r : Request.t) :: _, Some t -> r.Request.arrival < t
+    in
+    match arrivals with
+    | r :: rest when arrival_first ->
         incr events_processed;
-        now_ref := at;
-        (match ev with
-        | Ev_fault f -> apply_fault f
-        | Ev_cut { backends; heal; zone } -> apply_cut ~now:at ~heal ~zone backends
-        | Ev_dyn e -> apply_dyn e
-        | Ev_arrival r ->
-            let u = !uid in
-            incr uid;
-            if r.Request.is_update then handle_update ~now:r.Request.arrival r u
-            else
-              handle_read ~now:r.Request.arrival
-                {
-                  rc_uid = u;
-                  rc_class = r.Request.class_id;
-                  rc_cost_mb = r.Request.cost_mb;
-                  rc_arrival = r.Request.arrival;
-                  rc_attempt = 0;
-                  rc_deadline = deadline_of ~arrival:r.Request.arrival;
-                });
-        loop ()
+        now_ref := r.Request.arrival;
+        arrive r;
+        loop rest
+    | _ -> (
+        match Heap.pop_timed q with
+        | None -> ()
+        | Some (at, ev) ->
+            incr events_processed;
+            now_ref := at;
+            (match ev with
+            | Ev_fault f -> apply_fault f
+            | Ev_cut { backends; heal; zone } ->
+                apply_cut ~now:at ~heal ~zone backends
+            | Ev_dyn e -> apply_dyn e);
+            loop arrivals)
   in
-  loop ();
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
-  let completed = Hashtbl.length results in
-  let all =
-    Hashtbl.fold (fun u (arrival, resp) acc -> (arrival, resp, u) :: acc)
-      results []
-    |> List.sort (fun (a1, _, u1) (a2, _, u2) ->
-           let c = Float.compare a1 a2 in
-           if c <> 0 then c else Int.compare u1 u2)
-  in
-  let response_sum =
-    List.fold_left (fun acc (_, r, _) -> acc +. r) 0. all
-  in
-  let response_max =
-    List.fold_left (fun acc (_, r, _) -> max acc r) 0. all
-  in
-  let p50, p95, p99 = percentiles_of (List.map (fun (_, r, _) -> r) all) in
+  loop requests;
+  let responses = ref [] and rs = ref [] in
+  for u = offered - 1 downto 0 do
+    if not (Float.is_nan response.(u)) then begin
+      responses := (arrival_of.(u), response.(u)) :: !responses;
+      rs := response.(u) :: !rs
+    end
+  done;
+  let rs = !rs in
+  let run = outcome_of sched ~busy ~errors:!aborted rs in
+  let completed = run.completed and makespan = run.makespan in
   (match telemetry with
   | None -> ()
   | Some sink ->
       let h = Tel.Metrics.histogram sink.Tel.Sink.metrics "sim.response_s" in
-      List.iter (fun (_, r, _) -> Tel.Histogram.record h r) all;
+      List.iter (Tel.Histogram.record h) rs;
       let cn = Tel.Sink.cn telemetry in
       cn "sim.events" !events_processed;
       cn "sim.offered" offered;
@@ -1341,24 +1262,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         ~context:"Simulator.run_open_with_faults" m
   | _ -> ());
   {
-    run =
-      {
-        completed;
-        makespan;
-        throughput =
-          (if makespan > 0. then float_of_int completed /. makespan else 0.);
-        avg_response =
-          (if completed > 0 then response_sum /. float_of_int completed
-           else 0.);
-        max_response = response_max;
-        p50_response = p50;
-        p95_response = p95;
-        p99_response = p99;
-        busy;
-        utilization =
-          Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
-        errors = !aborted;
-      };
+    run;
     offered;
     availability =
       (if offered > 0 then float_of_int completed /. float_of_int offered
@@ -1385,16 +1289,14 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     downtime;
     max_concurrent_down = !max_down;
     events = !events_processed;
-    responses = List.map (fun (a, r, _) -> (a, r)) all;
+    responses = !responses;
   }
 
-(* Legacy entry point: permanent failures only.  Kept as a thin wrapper
-   over the event-clock engine, which fixes two bugs of the old polling
-   implementation: failures timed after the last arrival were never
-   applied, and a backend crashing with queued work silently "completed"
-   it.  Routing falls back to surviving replicas with the default retry
-   policy, so an adequately k-safe allocation still reports zero errors. *)
-let run_open_with_failures config alloc requests ~failures =
-  (run_open_with_faults config alloc requests
-     ~faults:(Fault.of_failures failures))
-    .run
+(* Fault-free runs are the event engine with an empty fault timeline; a
+   batch offers every request at time 0, so dispatch follows list order. *)
+let run_open config alloc requests =
+  (run_open_with_faults config alloc requests ~faults:[]).run
+
+let run_batch config alloc requests =
+  run_open config alloc
+    (List.map (fun (r : Request.t) -> { r with Request.arrival = 0. }) requests)

@@ -5,12 +5,17 @@
     whose service times come from {!Cost_model}.  Reads run on one backend;
     updates run on every backend holding the touched data (ROWA).
 
-    Two drive modes:
+    One event engine, {!run_open_with_faults}, drives every static-placement
+    run; two wrappers cover the fault-free cases:
     - {!run_batch} saturates the cluster with a fixed request list (all
-      available immediately) and reports makespan-based throughput — the
-      mode behind the throughput/speedup figures;
+      offered at time 0) and reports makespan-based throughput — the mode
+      behind the throughput/speedup figures;
     - {!run_open} replays timestamped arrivals and reports response times —
-      the mode behind the elastic-scaling experiment (Fig. 5). *)
+      the mode behind the elastic-scaling experiment (Fig. 5).
+
+    Both route reads through {!Scheduler.best_read_target} and updates
+    through {!Scheduler.targets_for_update}, the same routing the fault
+    and migration engines use. *)
 
 type config = {
   cost : Cost_model.params;
@@ -40,13 +45,19 @@ type outcome = {
 
 val run_batch :
   config -> Cdbs_core.Allocation.t -> Request.t list -> outcome
-(** All requests offered at time 0, dispatched in list order. *)
+(** All requests offered at time 0 (their [arrival] is ignored),
+    dispatched in list order: {!run_open} on the list with every arrival
+    set to 0. *)
 
 val run_open :
   config -> Cdbs_core.Allocation.t -> Request.t list -> outcome
-(** Requests dispatched at their [arrival] timestamps.  An unsorted list is
-    detected and stably sorted by arrival first — open-mode time never runs
-    backwards regardless of caller ordering. *)
+(** Requests dispatched at their [arrival] timestamps: the [run] of
+    {!run_open_with_faults} with an empty fault timeline and the default
+    retry policy.  An unsorted list is detected and stably sorted by
+    arrival first — open-mode time never runs backwards regardless of
+    caller ordering.  A read no replica serves (or of an unknown class) is
+    retried and finally counted in [errors], as is an update with no
+    replica. *)
 
 val class_mb : Cdbs_core.Allocation.t -> Request.t -> float
 (** The megabytes a request's class scans (its fragment footprint, or the
@@ -182,7 +193,7 @@ val run_open_with_faults :
     monitor never changes outcomes.
 
     [resilience] wires the overload/gray-failure defenses into the run
-    (all off by default, reproducing the legacy engine exactly):
+    (all off by default):
     - {e admission control} bounds each backend's queue; past the
       depth/latency watermark a read is shed — oldest queued read first,
       else the newcomer ([shed] in the report; updates are never shed);
@@ -203,19 +214,6 @@ val run_open_with_faults :
 
     The schedule is validated first ({!Cdbs_faults.Fault.validate});
     @raise Invalid_argument on an ill-formed schedule. *)
-
-val run_open_with_failures :
-  config ->
-  Cdbs_core.Allocation.t ->
-  Request.t list ->
-  failures:(float * int) list ->
-  outcome
-(** Legacy entry point: permanent failures only.  A thin wrapper over
-    {!run_open_with_faults} with the default retry policy, so reads caught
-    on a crashing backend fail over to surviving replicas — an adequately
-    k-safe allocation (Appendix C) reports zero [errors].  Unlike the
-    historical polling implementation, failures timed after the last
-    arrival still cancel queued work. *)
 
 (** {1 Live migration} *)
 

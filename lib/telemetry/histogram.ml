@@ -80,7 +80,7 @@ let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Histogram.quantile: q outside [0,1]";
   if t.total = 0 then 0.
   else begin
-    (* Nearest rank, matching Stats.percentile: the ceil(q*n)-th smallest
+    (* Nearest rank, matching Stats.percentiles: the ceil(q*n)-th smallest
        observation, clamped into [1, n]. *)
     let rank =
       max 1 (min t.total (int_of_float (ceil (q *. float_of_int t.total))))

@@ -21,16 +21,21 @@ let maximum = function
   | [] -> 0.
   | x :: xs -> List.fold_left max x xs
 
+(* Nearest rank: the ceil(p/100 * n)-th smallest value, clamped into
+   [1, n]. *)
+let percentiles ps xs =
+  let sorted = Array.of_list xs in
+  let n = Array.length sorted in
+  if n = 0 then invalid_arg "Stats.percentiles: empty list";
+  Array.sort Float.compare sorted;
+  List.map
+    (fun p ->
+      let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) rank)))
+    ps
+
 let percentile p xs =
-  match List.sort compare xs with
-  | [] -> invalid_arg "Stats.percentile: empty list"
-  | sorted ->
-      let n = List.length sorted in
-      let rank =
-        int_of_float (ceil (p /. 100. *. float_of_int n)) - 1
-      in
-      let rank = max 0 (min (n - 1) rank) in
-      List.nth sorted rank
+  match percentiles [ p ] xs with [ v ] -> v | _ -> assert false
 
 let relative_deviation xs =
   let m = mean xs in

@@ -10,8 +10,14 @@ val stdev : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 
+val percentiles : float list -> float list -> float list
+(** [percentiles ps xs]: for each [p] in [ps] (in [0,100]), the
+    nearest-rank percentile of [xs] — the [ceil (p/100 * n)]-th smallest
+    value, clamped into [1, n].  One sort serves every [p].
+    @raise Invalid_argument on an empty [xs]. *)
+
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [0,100], nearest-rank on the sorted list.
+(** [percentile p xs] is [percentiles [p] xs].
     @raise Invalid_argument on an empty list. *)
 
 val relative_deviation : float list -> float

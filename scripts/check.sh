@@ -11,6 +11,21 @@ fi
 dune build
 dune runtest
 
+# Bad numeric flags must end in a usage error, never in an escaped
+# exception.
+for args in "simulate -n 0" "allocate -n 0" "simulate --loads=0,0" \
+  "simulate --requests=-5"; do
+  # shellcheck disable=SC2086
+  if out=$(dune exec bin/cdbs_cli.exe -- $args 2>&1); then
+    echo "error: cdbs_cli $args exited 0" >&2
+    exit 1
+  fi
+  if printf '%s' "$out" | grep -q 'uncaught exception'; then
+    echo "error: cdbs_cli $args raised: $out" >&2
+    exit 1
+  fi
+done
+
 # Static plan verification: the shipped scenarios must be diagnostic-clean,
 # and a deliberately corrupted allocation must be rejected.
 dune build @lint

@@ -6,6 +6,7 @@ module Scheduler = Cdbs_cluster.Scheduler
 module Simulator = Cdbs_cluster.Simulator
 module Request = Cdbs_cluster.Request
 module Controller = Cdbs_cluster.Controller
+module Protocol = Cdbs_cluster.Protocol
 
 let fr ?(size = 1.) name = Fragment.table name ~size
 
@@ -56,40 +57,42 @@ let test_scheduler_least_pending () =
   Scheduler.book sched ~backend:0 ~finish:10.;
   Scheduler.book sched ~backend:1 ~finish:5.;
   (* Backend 2 is idle: reads must go there. *)
-  match Scheduler.route sched ~now:0. (Request.read "q1") with
-  | Ok [ 2 ] -> ()
-  | Ok other ->
-      Alcotest.failf "expected backend 2, got %s"
-        (String.concat "," (List.map string_of_int other))
-  | Error e -> Alcotest.fail e
+  let q1 = Option.get (Scheduler.find_class sched "q1") in
+  Alcotest.(check (option int)) "expected backend 2" (Some 2)
+    (Scheduler.best_read_target sched ~now:0. q1)
 
 let test_scheduler_rowa () =
   let alloc = Baselines.full_replication (workload ()) (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.update "u1") with
-  | Ok targets -> Alcotest.(check int) "all three backends" 3 (List.length targets)
-  | Error e -> Alcotest.fail e
+  let u1 = Option.get (Scheduler.find_class sched "u1") in
+  Alcotest.(check int) "all three backends" 3
+    (List.length (Scheduler.targets_for_update sched u1))
 
 let test_scheduler_partial_rowa () =
   (* With a greedy partial allocation, u1 goes only to backends holding
      fragment a. *)
   let alloc = Greedy.allocate (workload ()) (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.update "u1") with
-  | Ok targets ->
+  let u1 = Option.get (Scheduler.find_class sched "u1") in
+  match Scheduler.targets_for_update sched u1 with
+  | [] -> Alcotest.fail "update class u1 has no replica"
+  | targets ->
       List.iter
         (fun b ->
           Alcotest.(check bool) "target holds a" true
             (Fragment.Set.mem (fr "a") (Allocation.fragments_of alloc b)))
-        targets
-  | Error e -> Alcotest.fail e
+        targets;
+      (* With every holder down the update has no replica to commit on. *)
+      List.iter (fun b -> Scheduler.set_down sched ~backend:b) targets;
+      Alcotest.(check (list int)) "no live replica" []
+        (Scheduler.targets_for_update sched u1)
 
 let test_scheduler_unknown_class () =
   let alloc = Greedy.allocate (workload ()) (Backend.homogeneous 2) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.read "nope") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown class routed"
+  match Scheduler.find_class sched "nope" with
+  | None -> ()
+  | Some _ -> Alcotest.fail "unknown class routed"
 
 (* ---------------- simulator ---------------- *)
 
@@ -179,6 +182,123 @@ let test_simulator_unsorted_arrivals () =
   Alcotest.(check (float 1e-9)) "same makespan" a.Simulator.makespan
     b.Simulator.makespan;
   Alcotest.(check int) "same errors" a.Simulator.errors b.Simulator.errors
+
+(* Differential: the event engine's fault-free wrappers against the
+   reference FIFO simulator in [Oracle], on random small allocations,
+   request mixes (reads, updates, a few flipped kinds and an unknown
+   class), all three update protocols and both drive modes. *)
+
+type oracle_case = {
+  alloc : Allocation.t;
+  config : Simulator.config;
+  requests : Request.t list;
+  open_mode : bool;
+}
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let* w = Gen.workload_gen in
+  let* backends = Gen.backends_gen in
+  let n = List.length backends in
+  let* strategy = int_range 0 3 in
+  let* seed = int_range 0 1000 in
+  let alloc =
+    match strategy with
+    | 0 -> Greedy.allocate w backends
+    | 1 -> Baselines.full_replication w backends
+    | 2 ->
+        Baselines.random_placement ~rng:(Cdbs_util.Rng.create seed) w backends
+    | _ -> Ksafety.allocate ~k:(min 1 (n - 1)) w backends
+  in
+  let* protocol =
+    oneof
+      [
+        return Protocol.Rowa;
+        return Protocol.Primary_copy;
+        map (fun f -> Protocol.Lazy { apply_factor = f }) (float_range 0. 1.);
+      ]
+  in
+  let* speeds = array_size (return n) (float_range 0.5 2.) in
+  let ids =
+    "nope"
+    :: List.map
+         (fun (c : Query_class.t) -> c.Query_class.id)
+         (Array.to_list (Allocation.classes alloc))
+  in
+  let request =
+    let* id = oneofl ids in
+    let* flip = int_range 0 9 in
+    let* tick = int_range 0 40 in
+    let* cost_mb = opt (float_range 0.1 50.) in
+    let is_update =
+      match Workload.find w id with
+      | Some c -> (c.Query_class.kind = Query_class.Update) <> (flip = 0)
+      | None -> flip < 5
+    in
+    (* Arrivals on a coarse grid, so equal timestamps occur. *)
+    let arrival = float_of_int tick *. 0.05 in
+    return
+      (if is_update then Request.update ~arrival ?cost_mb id
+       else Request.read ~arrival ?cost_mb id)
+  in
+  let* requests = list_size (int_range 0 40) request in
+  let* open_mode = bool in
+  return
+    {
+      alloc;
+      config = { Simulator.cost = Cost_model.default; speeds; protocol };
+      requests;
+      open_mode;
+    }
+
+let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_engine_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"simulator: batch/open match the FIFO oracle"
+    (QCheck.make oracle_case_gen ~print:(fun c ->
+         Fmt.str "%s, %s, %d requests: %a"
+           (if c.open_mode then "open" else "batch")
+           (Protocol.name c.config.Simulator.protocol)
+           (List.length c.requests)
+           Fmt.(list ~sep:sp Request.pp)
+           c.requests))
+    (fun c ->
+      let o =
+        (if c.open_mode then Simulator.run_open else Simulator.run_batch)
+          c.config c.alloc c.requests
+      in
+      let responses, errors, makespan, busy =
+        Oracle.run ~open_mode:c.open_mode c.config c.alloc c.requests
+      in
+      let completed = List.length responses in
+      let sorted = Array.of_list responses in
+      Array.sort Float.compare sorted;
+      (* Nearest rank: the ceil(p/100 * n)-th smallest. *)
+      let pct p =
+        if completed = 0 then 0.
+        else
+          let n = float_of_int completed in
+          let rank = int_of_float (ceil (p /. 100. *. n)) in
+          sorted.(max 0 (min (completed - 1) (rank - 1)))
+      in
+      let avg =
+        if completed = 0 then 0.
+        else List.fold_left ( +. ) 0. responses /. float_of_int completed
+      in
+      let max_r =
+        List.fold_left (fun m r -> if r > m then r else m) 0. responses
+      in
+      o.Simulator.completed = completed
+      && o.Simulator.errors = errors
+      && bit_equal o.Simulator.makespan makespan
+      && bit_equal o.Simulator.avg_response avg
+      && bit_equal o.Simulator.max_response max_r
+      && bit_equal o.Simulator.p50_response (pct 50.)
+      && bit_equal o.Simulator.p95_response (pct 95.)
+      && bit_equal o.Simulator.p99_response (pct 99.)
+      && Array.length o.Simulator.busy = Array.length busy
+      && Array.for_all2 bit_equal o.Simulator.busy busy)
 
 (* ---------------- controller ---------------- *)
 
@@ -270,6 +390,7 @@ let suite =
       test_simulator_open_arrivals;
     Alcotest.test_case "simulator: unsorted arrivals" `Quick
       test_simulator_unsorted_arrivals;
+    QCheck_alcotest.to_alcotest prop_engine_matches_oracle;
     Alcotest.test_case "controller: end to end" `Quick
       test_controller_end_to_end;
     Alcotest.test_case "controller: reallocation" `Quick

@@ -106,9 +106,11 @@ let orphan_scenario () =
 let test_late_failure_cancels_queued_work () =
   let alloc, requests = orphan_scenario () in
   let outcome =
-    Simulator.run_open_with_failures
-      (Simulator.homogeneous_config 1)
-      alloc requests ~failures:[ (5.5, 0) ]
+    (Simulator.run_open_with_faults
+       (Simulator.homogeneous_config 1)
+       alloc requests
+       ~faults:(Fault.of_failures [ (5.5, 0) ]))
+      .Simulator.run
   in
   Alcotest.(check int) "5 queued/in-flight requests abort" 5
     outcome.Simulator.errors;
@@ -228,7 +230,7 @@ let test_scheduler_stale_states () =
   let q = Option.get (Workload.find w "q") in
   let u = Option.get (Workload.find w "u") in
   Alcotest.(check int) "both serve reads" 2
-    (List.length (Scheduler.eligible_for_read sched q));
+    (List.length (Routing.read_candidates sched q));
   Scheduler.set_down sched ~backend:0;
   Alcotest.(check bool) "down" false (Scheduler.is_up sched ~backend:0);
   (match Scheduler.set_stale sched ~backend:0 ~stale:true with
@@ -238,14 +240,14 @@ let test_scheduler_stale_states () =
   Alcotest.(check bool) "up again" true (Scheduler.is_up sched ~backend:0);
   Alcotest.(check bool) "but stale" true (Scheduler.is_stale sched ~backend:0);
   Alcotest.(check (list int)) "stale serves no reads" [ 1 ]
-    (Scheduler.eligible_for_read sched q);
+    (Routing.read_candidates sched q);
   Alcotest.(check (list int)) "stale still takes updates" [ 0; 1 ]
     (Scheduler.targets_for_update sched u);
   Alcotest.(check int) "stale excluded from live replicas" 1
     (Scheduler.live_replicas sched q);
   Scheduler.set_stale sched ~backend:0 ~stale:false;
   Alcotest.(check int) "caught up: serving again" 2
-    (List.length (Scheduler.eligible_for_read sched q))
+    (List.length (Routing.read_candidates sched q))
 
 (* ---------------- controller lifecycle ---------------- *)
 

@@ -183,17 +183,17 @@ let test_scheduler_healthy_filter () =
   let alloc = Ksafety.allocate ~k:1 w (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
   let q = Option.get (Workload.find w "q") in
-  let all = Scheduler.eligible_for_read sched q in
+  let all = Routing.read_candidates sched q in
   Alcotest.(check bool) "replicated" true (List.length all >= 2);
   let victim = List.hd all in
   let filtered =
-    Scheduler.eligible_for_read ~healthy:(fun b -> b <> victim) sched q
+    Routing.read_candidates ~healthy:(fun b -> b <> victim) sched q
   in
   Alcotest.(check bool) "breaker-open backend steered around" true
     (not (List.mem victim filtered) && filtered <> []);
   (* Every breaker open: fail open, the unfiltered list comes back. *)
   Alcotest.(check (list int)) "all-open fails open" all
-    (Scheduler.eligible_for_read ~healthy:(fun _ -> false) sched q)
+    (Routing.read_candidates ~healthy:(fun _ -> false) sched q)
 
 (* ---------------- retry jitter ---------------- *)
 
