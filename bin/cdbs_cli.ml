@@ -54,6 +54,11 @@ let positive_float =
     ~ok:(fun x -> Float.is_finite x && x > 0.)
     ~what:"a positive finite number"
 
+let non_negative_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x >= 0.)
+    ~what:"a non-negative finite number"
+
 let backends_arg =
   Arg.(
     value & opt positive_int 4
@@ -351,23 +356,23 @@ let migrate_cmd =
   in
   let bandwidth_arg =
     Arg.(
-      value & opt float 2.
+      value & opt positive_float 2.
       & info [ "b"; "bandwidth" ] ~docv:"MB/S"
           ~doc:"Copy throttle per stream in MB/s.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 40.
+      value & opt positive_float 40.
       & info [ "rate" ] ~docv:"R" ~doc:"Offered load in requests per second.")
   in
   let duration_arg =
     Arg.(
-      value & opt float 600.
+      value & opt positive_float 600.
       & info [ "duration" ] ~docv:"S" ~doc:"Simulated seconds.")
   in
   let at_arg =
     Arg.(
-      value & opt float 150.
+      value & opt non_negative_float 150.
       & info [ "at" ] ~docv:"S" ~doc:"When the rebalance starts.")
   in
   let show_plan_arg =
@@ -378,10 +383,6 @@ let migrate_cmd =
   in
   let run nodes from_hour to_hour bandwidth rate duration at show_plan seed =
     let module Fm = Cdbs_experiments.Fig_migration in
-    if bandwidth <= 0. then begin
-      prerr_endline "migrate: --bandwidth must be positive";
-      exit 1
-    end;
     if show_plan then begin
       let plan = Fm.plan ~nodes ~from_hour ~to_hour () in
       Fmt.pr "%a@." Cdbs_migration.Planner.pp plan;
@@ -842,29 +843,30 @@ let check_cmd =
 (* chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Fault-injection terms shared by [chaos] and [verify-trace]. *)
+let mtbf_arg =
+  Arg.(
+    value & opt positive_float 120.
+    & info [ "mtbf" ] ~docv:"SECONDS"
+        ~doc:"Mean time between failures per backend.")
+
+let mttr_arg =
+  Arg.(
+    value & opt positive_float 25.
+    & info [ "mttr" ] ~docv:"SECONDS" ~doc:"Mean time to recovery.")
+
+let chaos_duration_arg =
+  Arg.(
+    value & opt positive_float 600.
+    & info [ "duration" ] ~docv:"SECONDS"
+        ~doc:"Run length (also the fault-injection horizon).")
+
+let chaos_rate_arg =
+  Arg.(
+    value & opt positive_float 20.
+    & info [ "rate" ] ~docv:"REQ/S" ~doc:"Offered request rate.")
+
 let chaos_cmd =
-  let mtbf_arg =
-    Arg.(
-      value & opt float 120.
-      & info [ "mtbf" ] ~docv:"SECONDS"
-          ~doc:"Mean time between failures per backend.")
-  in
-  let mttr_arg =
-    Arg.(
-      value & opt float 25.
-      & info [ "mttr" ] ~docv:"SECONDS" ~doc:"Mean time to recovery.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt float 600.
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Run length (also the fault-injection horizon).")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 20.
-      & info [ "rate" ] ~docv:"REQ/S" ~doc:"Offered request rate.")
-  in
   let k_arg =
     Arg.(
       value & opt int 1
@@ -1079,8 +1081,8 @@ let chaos_cmd =
           catch-up and degradation metrics")
     Term.(
       const run $ backends_arg $ seed_arg $ mtbf_arg $ mttr_arg
-      $ duration_arg $ rate_arg $ k_arg $ max_down_arg $ min_avail_arg
-      $ zones_arg $ correlated_mtbf_arg $ partition_prob_arg
+      $ chaos_duration_arg $ chaos_rate_arg $ k_arg $ max_down_arg
+      $ min_avail_arg $ zones_arg $ correlated_mtbf_arg $ partition_prob_arg
       $ monitor_gate_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1097,12 +1099,12 @@ let overload_cmd =
   in
   let rate_arg =
     Arg.(
-      value & opt float 240.
+      value & opt positive_float 240.
       & info [ "rate" ] ~docv:"REQ/S" ~doc:"Offered request rate.")
   in
   let duration_arg =
     Arg.(
-      value & opt float 120.
+      value & opt positive_float 120.
       & info [ "duration" ] ~docv:"SECONDS" ~doc:"Run length.")
   in
   let slow_factor_arg =
@@ -1266,13 +1268,13 @@ let day_cmd =
   in
   let scale_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some positive_float) None
       & info [ "scale" ] ~docv:"X"
           ~doc:"Multiplier on the diurnal trace's request rate.")
   in
   let window_arg =
     Arg.(
-      value & opt (some float) None
+      value & opt (some positive_float) None
       & info [ "window-minutes" ] ~docv:"MIN"
           ~doc:"Scheduling/autoscaling window length in minutes.")
   in
@@ -1792,28 +1794,6 @@ let verify_trace_cmd =
   let module Sim = Cdbs_cluster.Simulator in
   let module Mon = Cdbs_analysis.Monitor in
   let module Tel = Cdbs_telemetry in
-  let mtbf_arg =
-    Arg.(
-      value & opt float 120.
-      & info [ "mtbf" ] ~docv:"SECONDS"
-          ~doc:"Mean time between failures per backend.")
-  in
-  let mttr_arg =
-    Arg.(
-      value & opt float 25.
-      & info [ "mttr" ] ~docv:"SECONDS" ~doc:"Mean time to recovery.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt float 600.
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Run length (also the fault-injection horizon).")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 20.
-      & info [ "rate" ] ~docv:"REQ/S" ~doc:"Offered request rate.")
-  in
   let k_arg =
     Arg.(
       value & opt int 1
@@ -2095,8 +2075,8 @@ let verify_trace_cmd =
           non-zero exit on violations")
     Term.(
       const run $ backends_arg $ seed_arg $ k_arg $ mtbf_arg $ mttr_arg
-      $ duration_arg $ rate_arg $ deadline_arg $ json_arg $ strict_arg
-      $ inject_arg)
+      $ chaos_duration_arg $ chaos_rate_arg $ deadline_arg $ json_arg
+      $ strict_arg $ inject_arg)
 
 (* ------------------------------------------------------------------ *)
 (* journalgen                                                          *)

@@ -90,11 +90,11 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
           pending_migration := None;
           let m = schedule.Schedule.plan.Planner.num_physical in
           let config = Simulator.homogeneous_config m in
-          let mo =
-            Simulator.run_open_with_migration config ~target:!alloc ~schedule
-              requests
+          let fo =
+            Simulator.run_open_with_faults ~migration:schedule config !alloc
+              requests ~faults:[]
           in
-          (mo.Simulator.run, true)
+          (fo.Simulator.run, true)
       | None -> (run !alloc !nodes, false)
     in
     let static_outcome = run static_alloc static_nodes in

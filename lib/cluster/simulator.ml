@@ -100,260 +100,17 @@ let sorted_by_arrival requests =
       requests
 
 (* ------------------------------------------------------------------ *)
-(* Open-mode execution during a live migration                         *)
-(* ------------------------------------------------------------------ *)
-
-type migration_outcome = {
-  run : outcome;
-  copied_mb : float;
-  replayed_mb : float;
-  copy_done : float;
-  drops_at : float;
-  min_live_replicas : (string * int) list;
-  target_deployed : bool;
-  responses : (float * float) list;
-}
-
-(* Migration events in time order; at equal instants a copy opens before
-   its own (zero-length) cutover, and the drop barrier comes last. *)
-type mig_event =
-  | Copy_start of Schedule.timed_move
-  | Cutover of Schedule.timed_move
-  | Drop_all
-
-let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
-    ~target ~schedule requests =
-  let plan = schedule.Schedule.plan in
-  let n = plan.Planner.num_physical in
-  if Array.length config.speeds <> n then
-    invalid_arg
-      "Simulator.run_open_with_migration: speeds length <> physical nodes";
-  let telemetry =
-    match (telemetry, monitor) with
-    | None, Some _ -> Some (Tel.Sink.create ~capacity:64 ())
-    | _ -> telemetry
-  in
-  let monitor_owns_attach =
-    match (monitor, telemetry) with
-    | Some m, Some sink -> Cdbs_analysis.Monitor.attach m sink
-    | _ -> false
-  in
-  let requests = sorted_by_arrival requests in
-  Tel.Sink.ev telemetry ~at:0. "run.start"
-    [
-      ("backends", Tel.Trace.Int n);
-      ("offered", Tel.Trace.Int (List.length requests));
-    ];
-  let sched = Scheduler.create_dynamic target ~live:plan.Planner.old_sets in
-  let delta : unit Delta.t = Delta.create () in
-  let busy = Array.make n 0. in
-  let errors = ref 0 and responses = ref [] in
-  let replayed_mb = ref 0. in
-  let classes = Array.to_list (Allocation.classes target) in
-  let mins =
-    List.map (fun c -> (c, ref (Scheduler.live_replicas sched c))) classes
-  in
-  (* Expand-then-contract promises each class never drops below the
-     smaller of its old and target replica counts; announce the floor so
-     the protocol monitor can hold the run to it. *)
-  let target_replicas (c : Query_class.t) =
-    Array.fold_left
-      (fun acc set ->
-        if Fragment.Set.subset c.Query_class.fragments set then acc + 1
-        else acc)
-      0 plan.Planner.target_sets
-  in
-  List.iter
-    (fun ((c : Query_class.t), m) ->
-      Tel.Sink.ev telemetry ~at:0. "migration.floor"
-        [
-          ("class", Tel.Trace.Str c.Query_class.id);
-          ("floor", Tel.Trace.Int (min !m (target_replicas c)));
-        ])
-    mins;
-  let observe_mins ~at () =
-    List.iter
-      (fun ((c : Query_class.t), m) ->
-        let r = Scheduler.live_replicas sched c in
-        Tel.Sink.ev telemetry ~at "migration.live"
-          [
-            ("class", Tel.Trace.Str c.Query_class.id);
-            ("replicas", Tel.Trace.Int r);
-          ];
-        if r < !m then m := r)
-      mins
-  in
-  let event_time = function
-    | Copy_start tm -> tm.Schedule.start
-    | Cutover tm -> tm.Schedule.finish
-    | Drop_all -> schedule.Schedule.drops_at
-  in
-  let event_rank = function Copy_start _ -> 0 | Cutover _ -> 1 | Drop_all -> 2 in
-  (* Pending migration events on a priority queue; the (time, rank,
-     insertion) heap order matches the stable sort the list-based engine
-     used, so the replay is unchanged. *)
-  let events : mig_event Heap.t = Heap.create () in
-  List.iter
-    (fun e -> Heap.add events ~time:(event_time e) ~rank:(event_rank e) e)
-    (Drop_all
-    :: List.concat_map
-         (fun tm -> [ Copy_start tm; Cutover tm ])
-         schedule.Schedule.moves);
-  let apply_event = function
-    | Copy_start tm ->
-        Delta.open_capture delta ~dest:tm.Schedule.move.Planner.dest
-          ~fragment:tm.Schedule.move.Planner.fragment
-    | Cutover tm ->
-        let dest = tm.Schedule.move.Planner.dest in
-        let fragment = tm.Schedule.move.Planner.fragment in
-        let _, mb = Delta.drain delta ~dest ~fragment in
-        (* Replay the captured deltas on the destination before the
-           fragment goes live there: foreground work on its queue. *)
-        if mb > 0. then begin
-          let replay =
-            mb *. config.cost.Cost_model.scan_seconds_per_mb
-            /. config.speeds.(dest)
-          in
-          let start =
-            max tm.Schedule.finish (Scheduler.free_at sched ~backend:dest)
-          in
-          Scheduler.book sched ~backend:dest ~finish:(start +. replay);
-          busy.(dest) <- busy.(dest) +. replay;
-          replayed_mb := !replayed_mb +. mb
-        end;
-        Scheduler.add_live sched ~backend:dest
-          (Fragment.Set.singleton fragment)
-    | Drop_all ->
-        List.iter
-          (fun (d : Planner.drop) ->
-            Scheduler.remove_live sched ~backend:d.Planner.at_backend
-              (Fragment.Set.singleton d.Planner.victim))
-          plan.Planner.drops
-  in
-  let apply_events now =
-    Heap.drain_until events ~time:now ~f:(fun at e ->
-        apply_event e;
-        observe_mins ~at ())
-  in
-  List.iter
-    (fun (r : Request.t) ->
-      let now = r.Request.arrival in
-      apply_events now;
-      (* Reads go to the least-pending live replica; updates fan out to
-         every live node holding any touched fragment, split by the
-         protocol into the critical path and background application. *)
-      let split =
-        match Scheduler.find_class sched r.Request.class_id with
-        | None -> None
-        | Some c when r.Request.is_update -> (
-            match Scheduler.targets_for_update sched c with
-            | [] -> None
-            | targets -> Some (c, Protocol.plan config.protocol ~targets))
-        | Some c ->
-            Option.map
-              (fun b -> (c, { Protocol.sync = [ b ]; async = [] }))
-              (Scheduler.best_read_target sched ~now c)
-      in
-      match split with
-      | None -> incr errors
-      | Some (c, split) ->
-          let mb =
-            match r.Request.cost_mb with
-            | Some mb -> mb
-            | None -> Query_class.size c
-          in
-          (* Updates arriving while a referenced fragment is on the wire
-             go to the delta journal and are replayed at cutover. *)
-          if r.Request.is_update then begin
-            let frags = c.Query_class.fragments in
-            let per_fragment =
-              mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
-            in
-            Fragment.Set.iter
-              (fun f ->
-                ignore
-                  (Delta.capture delta ~fragment:f ~item:() ~mb:per_fragment))
-              frags
-          end;
-          let replicas = List.length split.Protocol.sync in
-          let serve b ~factor =
-            (* Background copy I/O contends with foreground work on the
-               nodes it touches. *)
-            let contention =
-              if Schedule.copying schedule ~backend:b ~at:now then
-                1. +. copy_slowdown
-              else 1.
-            in
-            let service =
-              factor *. contention
-              *. Cost_model.service_time config.cost ~class_mb:mb
-                   ~resident_mb:
-                     (Fragment.set_size
-                        (Scheduler.live_fragments sched ~backend:b))
-                   ~speed:config.speeds.(b) ~is_update:r.Request.is_update
-                   ~replicas
-            in
-            let start = max now (Scheduler.free_at sched ~backend:b) in
-            let finish = start +. service in
-            Scheduler.book sched ~backend:b ~finish;
-            busy.(b) <- busy.(b) +. service;
-            finish
-          in
-          let finish_all = ref 0. in
-          List.iter
-            (fun b ->
-              let finish = serve b ~factor:1. in
-              if finish > !finish_all then finish_all := finish)
-            split.Protocol.sync;
-          List.iter
-            (fun (b, factor) -> ignore (serve b ~factor))
-            split.Protocol.async;
-          responses := (now, !finish_all -. now) :: !responses)
-    requests;
-  (* Requests may dry up before the rebalance completes: finish it. *)
-  apply_events infinity;
-  let target_deployed =
-    let ok = ref true in
-    for b = 0 to n - 1 do
-      if
-        not
-          (Fragment.Set.equal
-             (Scheduler.live_fragments sched ~backend:b)
-             plan.Planner.target_sets.(b))
-      then ok := false
-    done;
-    !ok
-  in
-  let responses = List.rev !responses in
-  (match (monitor, telemetry) with
-  | Some m, Some sink when monitor_owns_attach ->
-      Cdbs_analysis.Monitor.detach m sink
-  | _ -> ());
-  (match monitor with
-  | Some m when Cdbs_core.Invariants.active () ->
-      Cdbs_analysis.Monitor.check_exn
-        ~context:"Simulator.run_open_with_migration" m
-  | _ -> ());
-  {
-    run = outcome_of sched ~busy ~errors:!errors (List.map snd responses);
-    copied_mb = plan.Planner.copy_mb;
-    replayed_mb = !replayed_mb;
-    copy_done = schedule.Schedule.copy_done;
-    drops_at = schedule.Schedule.drops_at;
-    min_live_replicas =
-      List.map
-        (fun ((c : Query_class.t), m) -> (c.Query_class.id, !m))
-        mins;
-    target_deployed;
-    responses;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection: crash / recover / slowdown on the event clock      *)
+(* The event engine: faults and live migration on one event clock     *)
 (* ------------------------------------------------------------------ *)
 
 module Fault = Cdbs_faults.Fault
 module Retry = Cdbs_faults.Retry
+
+type migration_report = {
+  replayed_mb : float;
+  min_live_replicas : (string * int) list;
+  target_deployed : bool;
+}
 
 type recovery = {
   rec_backend : int;
@@ -388,6 +145,7 @@ type fault_outcome = {
   max_concurrent_down : int;
   events : int;
   responses : (float * float) list;
+  migration : migration_report option;
 }
 
 (* One retry chain of a read whose service was lost to a crash (or that
@@ -426,20 +184,34 @@ let dyn_time = function
 (* Everything the fault engine's event clock processes besides arrivals,
    unified so it can ride a single priority queue.  [Partition] and
    [ZoneOutage] schedule entries are expanded into start/heal pairs before
-   the run so the clock only ever sees instantaneous events. *)
+   the run so the clock only ever sees instantaneous events.  A live
+   migration adds its copy starts, cutovers and the drop barrier. *)
 type sim_event =
   | Ev_fault of Fault.timed
   | Ev_cut of { backends : int list; heal : bool; zone : int option }
   | Ev_dyn of dyn_event
+  | Ev_copy of Schedule.timed_move
+  | Ev_cutover of Schedule.timed_move
+  | Ev_drop of Planner.drop list
+
+(* Foreground service inflation on a node that is the source or the
+   destination of an in-flight migration copy. *)
+let copy_contention = 1.25
 
 module Resilience = Cdbs_resilience
 
 let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
-    ?monitor ?topology ?(partition_timeout = 1.) config alloc requests ~faults
-    =
-  let n = Allocation.num_backends alloc in
+    ?monitor ?topology ?(partition_timeout = 1.) ?migration config alloc
+    requests ~faults =
+  let n =
+    match migration with
+    | Some s -> s.Schedule.plan.Planner.num_physical
+    | None -> Allocation.num_backends alloc
+  in
   if Array.length config.speeds <> n then
     invalid_arg "Simulator.run_open_with_faults: speeds length <> backends";
+  if faults <> [] && Option.is_some migration then
+    invalid_arg "Simulator.run_open_with_faults: faults during a migration";
   (match topology with
   | Some t when Cdbs_core.Topology.num_backends t <> n ->
       invalid_arg
@@ -472,7 +244,14 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let offered = List.length requests in
   Tel.Sink.ev telemetry ~at:0. "run.start"
     [ ("backends", Tel.Trace.Int n); ("offered", Tel.Trace.Int offered) ];
-  let sched = Scheduler.create alloc in
+  (* A migrating cluster routes by the live fragment sets, starting from
+     the plan's old placement. *)
+  let sched =
+    match migration with
+    | Some s ->
+        Scheduler.create_dynamic alloc ~live:s.Schedule.plan.Planner.old_sets
+    | None -> Scheduler.create alloc
+  in
   let delta : unit Delta.t = Delta.create () in
   let busy = Array.make n 0. in
   let inflight = Array.make n [] in
@@ -494,10 +273,10 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let slow_factor = Array.make n 1. and slow_until = Array.make n 0. in
   let down_since = Array.make n nan in
   let downtime = Array.make n 0. in
-  let resident =
-    Array.init n (fun b ->
-        Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
+  let resident_of b =
+    Fragment.set_size (Scheduler.live_fragments sched ~backend:b)
   in
+  let resident = Array.init n resident_of in
   (* Per request uid: its original arrival and its response ([nan] while
      not completed).  Reads are retracted ([nan] again) when a crash or a
      shed cancels them and re-recorded when a retry lands.  Uids are handed
@@ -597,8 +376,13 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
      [commit] turns an accepted quote into a booking. *)
   let quote ~now ~mb ~replicas ~is_update b ~factor =
     let slow = if now < slow_until.(b) then slow_factor.(b) else 1. in
+    let contention =
+      match migration with
+      | Some s when Schedule.copying s ~backend:b ~at:now -> copy_contention
+      | _ -> 1.
+    in
     let service =
-      factor *. slow
+      factor *. slow *. contention
       *. Cost_model.service_time config.cost ~class_mb:mb
            ~resident_mb:resident.(b) ~speed:config.speeds.(b) ~is_update
            ~replicas
@@ -654,6 +438,16 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   in
   let serve ~now ~mb ~replicas ~is_update ~kind b ~factor =
     commit ~mb ~kind b (quote ~now ~mb ~replicas ~is_update b ~factor)
+  in
+  (* Replay journaled update volume on [b]'s queue through the delta
+     journal's cost model: a rejoin's catch-up, a migration cutover's
+     captured deltas. *)
+  let replay ~now b mb =
+    let service =
+      mb *. config.cost.Cost_model.scan_seconds_per_mb /. config.speeds.(b)
+    in
+    let start = max now (Scheduler.free_at sched ~backend:b) in
+    commit ~mb ~kind:Bk_catchup b (start, start +. service, service)
   in
   (* Queue depth for admission control.  Completed bookings are pruned on
      the way (they are kept only so a crash can cancel in-flight work). *)
@@ -993,19 +787,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         Scheduler.set_up ~stale:true sched ~backend:b;
         if healed then fenced.(b) <- true;
         catch_up_mb := !catch_up_mb +. !missed;
-        let replay =
-          !missed *. config.cost.Cost_model.scan_seconds_per_mb
-          /. config.speeds.(b)
-        in
-        let start = max now (Scheduler.free_at sched ~backend:b) in
-        let finish = start +. replay in
-        Scheduler.book sched ~backend:b ~finish;
-        busy.(b) <- busy.(b) +. replay;
-        inflight.(b) <-
-          { bk_start = start; bk_finish = finish; bk_service = replay;
-            bk_mb = !missed; bk_kind = Bk_catchup }
-          :: inflight.(b);
-        serve_event ~at:now ~kind:Bk_catchup b ~start ~finish;
+        let finish = replay ~now b !missed in
         let r =
           { rec_backend = b; crashed_at; recovered_at = now;
             caught_up_at = nan; replayed_mb = !missed }
@@ -1165,6 +947,74 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                         end)))
         | _ -> () (* completed before the hedge fired, or mid-retry *))
   in
+  (* Live migration.  Expand-then-contract promises each class never drops
+     below the smaller of its old and target replica counts: announce that
+     floor, then audit the live replicas after every migration event. *)
+  let replayed_mb = ref 0. in
+  let classes, min_live =
+    match migration with
+    | None -> ([||], [||])
+    | Some s ->
+        let plan = s.Schedule.plan in
+        let classes = Allocation.classes alloc in
+        let min_live = Array.map (Scheduler.live_replicas sched) classes in
+        Array.iteri
+          (fun i (c : Query_class.t) ->
+            let holds set = Fragment.Set.subset c.Query_class.fragments set in
+            let target =
+              List.length
+                (List.filter holds (Array.to_list plan.Planner.target_sets))
+            in
+            Tel.Sink.ev telemetry ~at:0. "migration.floor"
+              [
+                ("class", Tel.Trace.Str c.Query_class.id);
+                ("floor", Tel.Trace.Int (min min_live.(i) target));
+              ])
+          classes;
+        (* Ranked after faults and internal events; at one instant a copy
+           opens before its own (zero-length) cutover, and the drop barrier
+           comes last. *)
+        List.iter
+          (fun (tm : Schedule.timed_move) ->
+            Heap.add q ~time:tm.Schedule.start ~rank:2 (Ev_copy tm);
+            Heap.add q ~time:tm.Schedule.finish ~rank:3 (Ev_cutover tm))
+          s.Schedule.moves;
+        Heap.add q ~time:s.Schedule.drops_at ~rank:4
+          (Ev_drop plan.Planner.drops);
+        (classes, min_live)
+  in
+  let observe_live ~at =
+    Array.iteri
+      (fun i (c : Query_class.t) ->
+        let r = Scheduler.live_replicas sched c in
+        Tel.Sink.ev telemetry ~at "migration.live"
+          [
+            ("class", Tel.Trace.Str c.Query_class.id);
+            ("replicas", Tel.Trace.Int r);
+          ];
+        if r < min_live.(i) then min_live.(i) <- r)
+      classes
+  in
+  (* A cutover replays the deltas captured while the copy was on the wire
+     (foreground work on the destination's queue), then the fragment goes
+     live there. *)
+  let cutover ~now (tm : Schedule.timed_move) =
+    let dest = tm.Schedule.move.Planner.dest in
+    let fragment = tm.Schedule.move.Planner.fragment in
+    let _, mb = Delta.drain delta ~dest ~fragment in
+    if mb > 0. then begin
+      ignore (replay ~now dest mb);
+      replayed_mb := !replayed_mb +. mb
+    end;
+    Scheduler.add_live sched ~backend:dest (Fragment.Set.singleton fragment);
+    resident.(dest) <- resident_of dest
+  in
+  let drop (d : Planner.drop) =
+    let b = d.Planner.at_backend in
+    Scheduler.remove_live sched ~backend:b
+      (Fragment.Set.singleton d.Planner.victim);
+    resident.(b) <- resident_of b
+  in
   let arrive (r : Request.t) =
     let u = !uid in
     incr uid;
@@ -1210,7 +1060,17 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
             | Ev_fault f -> apply_fault f
             | Ev_cut { backends; heal; zone } ->
                 apply_cut ~now:at ~heal ~zone backends
-            | Ev_dyn e -> apply_dyn e);
+            | Ev_dyn e -> apply_dyn e
+            | Ev_copy tm ->
+                Delta.open_capture delta ~dest:tm.Schedule.move.Planner.dest
+                  ~fragment:tm.Schedule.move.Planner.fragment;
+                observe_live ~at
+            | Ev_cutover tm ->
+                cutover ~now:at tm;
+                observe_live ~at
+            | Ev_drop drops ->
+                List.iter drop drops;
+                observe_live ~at);
             loop arrivals)
   in
   loop requests;
@@ -1290,6 +1150,22 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     max_concurrent_down = !max_down;
     events = !events_processed;
     responses = !responses;
+    migration =
+      Option.map
+        (fun s ->
+          {
+            replayed_mb = !replayed_mb;
+            min_live_replicas =
+              List.mapi
+                (fun i (c : Query_class.t) -> (c.Query_class.id, min_live.(i)))
+                (Array.to_list classes);
+            target_deployed =
+              Array.for_all2 Fragment.Set.equal
+                (Array.init n (fun b ->
+                     Scheduler.live_fragments sched ~backend:b))
+                s.Schedule.plan.Planner.target_sets;
+          })
+        migration;
   }
 
 (* Fault-free runs are the event engine with an empty fault timeline; a

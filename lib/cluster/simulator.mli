@@ -5,17 +5,18 @@
     whose service times come from {!Cost_model}.  Reads run on one backend;
     updates run on every backend holding the touched data (ROWA).
 
-    One event engine, {!run_open_with_faults}, drives every static-placement
-    run; two wrappers cover the fault-free cases:
+    One event engine, {!run_open_with_faults}, drives every run: static
+    placements under fault timelines and resilience defenses, and live
+    migrations, whose copy starts, cutovers and drop barrier are events on
+    the same clock.  Two wrappers cover the fault-free static cases:
     - {!run_batch} saturates the cluster with a fixed request list (all
       offered at time 0) and reports makespan-based throughput — the mode
       behind the throughput/speedup figures;
     - {!run_open} replays timestamped arrivals and reports response times —
       the mode behind the elastic-scaling experiment (Fig. 5).
 
-    Both route reads through {!Scheduler.best_read_target} and updates
-    through {!Scheduler.targets_for_update}, the same routing the fault
-    and migration engines use. *)
+    Reads route through {!Scheduler.best_read_target} and updates through
+    {!Scheduler.targets_for_update}. *)
 
 type config = {
   cost : Cost_model.params;
@@ -63,7 +64,16 @@ val class_mb : Cdbs_core.Allocation.t -> Request.t -> float
 (** The megabytes a request's class scans (its fragment footprint, or the
     request's override). *)
 
-(** {1 Fault injection} *)
+(** {1 Fault injection and live migration} *)
+
+type migration_report = {
+  replayed_mb : float;  (** delta-journal volume replayed at cutovers *)
+  min_live_replicas : (string * int) list;
+      (** per query class, the minimum number of simultaneously live full
+          replicas observed at any point of the run — the k-safety audit *)
+  target_deployed : bool;
+      (** every physical node's final live set equals the plan's target *)
+}
 
 type recovery = {
   rec_backend : int;
@@ -109,10 +119,13 @@ type fault_outcome = {
   max_concurrent_down : int;
   events : int;
       (** total events the clock processed (arrivals + faults + retries +
-          hedges + catch-up completions) — the denominator of events/sec *)
+          hedges + catch-up completions + migration events) — the
+          denominator of events/sec *)
   responses : (float * float) list;
       (** per completed request, [(original arrival, response)] in arrival
           order — responses of retried reads span the whole retry chain *)
+  migration : migration_report option;
+      (** present exactly when the run was given a [migration] *)
 }
 
 val run_open_with_faults :
@@ -123,6 +136,7 @@ val run_open_with_faults :
   ?monitor:Cdbs_analysis.Monitor.t ->
   ?topology:Cdbs_core.Topology.t ->
   ?partition_timeout:float ->
+  ?migration:Cdbs_migration.Schedule.t ->
   config ->
   Cdbs_core.Allocation.t ->
   Request.t list ->
@@ -212,49 +226,28 @@ val run_open_with_faults :
       and surfaces as [wasted_work] (congestion collapse).  Updates are
       exempt from every defense.
 
+    [migration] replays the arrivals {e while} the schedule's rebalance
+    executes in the background.  The allocation is then the plan's target:
+    it supplies the query classes, and the cluster has the plan's
+    [num_physical] nodes (which [config.speeds] must cover).  Routing
+    follows the live fragment sets: nodes start with the plan's old
+    placement, gain a fragment at its copy's cutover and shed the
+    no-longer-needed copies at the drop barrier.  Copy starts, cutovers
+    and the barrier are events on the same clock, ranked after faults and
+    internal events; at one instant a copy opens before its own cutover
+    and the barrier comes last.  Updates arriving while a touched fragment
+    is on the wire go to the delta journal; the cutover replays them on
+    the destination's queue (a ["catchup"] booking) before the fragment
+    goes live.  Foreground service on a node that is the source or the
+    destination of an in-flight copy is inflated by a quarter.  The run
+    announces each class's expand-then-contract replica floor as
+    ["migration.floor"] and emits ["migration.live"] after every
+    migration event, so an attached monitor audits that live replicas
+    never drop below the floor; the outcome's [migration] report carries
+    the replayed volume, the observed minimum and whether the target was
+    deployed.  A migration cannot be combined with a non-empty [faults]
+    timeline: the replica floor has no defined meaning under a crash.
+
     The schedule is validated first ({!Cdbs_faults.Fault.validate});
-    @raise Invalid_argument on an ill-formed schedule. *)
-
-(** {1 Live migration} *)
-
-type migration_outcome = {
-  run : outcome;  (** request-level outcome over the whole run *)
-  copied_mb : float;  (** background copy volume (= the plan's transfer) *)
-  replayed_mb : float;  (** delta-journal volume replayed at cutovers *)
-  copy_done : float;  (** when the last copy finished *)
-  drops_at : float;  (** when the contract barrier released the old copies *)
-  min_live_replicas : (string * int) list;
-      (** per query class, the minimum number of simultaneously live full
-          replicas observed at any point of the run — the k-safety audit *)
-  target_deployed : bool;
-      (** every physical node's final live set equals the plan's target *)
-  responses : (float * float) list;
-      (** per completed request, [(arrival, response)] in arrival order —
-          the raw material of the degradation timeline *)
-}
-
-val run_open_with_migration :
-  ?copy_slowdown:float ->
-  ?telemetry:Cdbs_telemetry.Sink.t ->
-  ?monitor:Cdbs_analysis.Monitor.t ->
-  config ->
-  target:Cdbs_core.Allocation.t ->
-  schedule:Cdbs_migration.Schedule.t ->
-  Request.t list ->
-  migration_outcome
-(** Open-mode replay {e while} the schedule's rebalance executes in the
-    background.  Routing follows the live fragment sets: nodes start with
-    the plan's old placement, gain fragments at each copy's cutover (after
-    replaying the deltas captured while the copy was on the wire) and shed
-    the no-longer-needed copies at the final drop barrier.  Foreground
-    service on a node actively copying (as source or destination) is
-    inflated by [copy_slowdown] (default 0.25).  [config.speeds] must cover
-    the plan's [num_physical] nodes.  Requests must reference classes of
-    the [target] allocation's workload.
-
-    [telemetry]/[monitor] mirror {!run_open_with_faults}: the run opens
-    with ["run.start"], announces each class's expand-then-contract
-    replica floor as ["migration.floor"], emits ["migration.live"] after
-    every migration event so the monitor can audit that live replicas
-    never drop below the floor, and fails loudly under active debug
-    invariants. *)
+    @raise Invalid_argument on an ill-formed schedule, or on a non-empty
+    [faults] together with a [migration]. *)

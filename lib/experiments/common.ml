@@ -4,6 +4,8 @@ module Greedy = Cdbs_core.Greedy
 module Memetic = Cdbs_core.Memetic
 module Query_class = Cdbs_core.Query_class
 module Simulator = Cdbs_cluster.Simulator
+module Planner = Cdbs_migration.Planner
+module Schedule = Cdbs_migration.Schedule
 
 (* Every experiment run self-verifies: loading this harness installs the
    full static checker behind Cdbs_core.Invariants, so each allocation an
@@ -73,3 +75,28 @@ let mean_of_runs f ~runs =
     total := !total +. f seed
   done;
   !total /. float_of_int runs
+
+(* Spans are merged per backend in a hash table; the fold order of its
+   entries is the order of the resulting faults. *)
+let contention_faults ~t0 ~window_s ~nodes ~slowdown
+    (schedule : Schedule.t) =
+  let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
+  let touch b s e =
+    if b >= 0 && b < nodes && e > s then
+      match Hashtbl.find_opt spans b with
+      | None -> Hashtbl.replace spans b (s, e)
+      | Some (s0, e0) -> Hashtbl.replace spans b (min s0 s, max e0 e)
+  in
+  List.iter
+    (fun (tm : Schedule.timed_move) ->
+      let s = max t0 tm.Schedule.start in
+      let e = min (t0 +. window_s) tm.Schedule.finish in
+      touch tm.Schedule.move.Planner.dest s e;
+      Option.iter (fun src -> touch src s e) tm.Schedule.move.Planner.source)
+    schedule.Schedule.moves;
+  Hashtbl.fold
+    (fun b (s, e) acc ->
+      Cdbs_faults.Fault.slowdown ~at:s ~backend:b ~factor:(1. +. slowdown)
+        ~duration:(e -. s)
+      :: acc)
+    spans []

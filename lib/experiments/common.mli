@@ -39,3 +39,16 @@ val table : columns:string list -> (string * float list) list -> unit
 
 val mean_of_runs : (int -> float) -> runs:int -> float
 (** Average [f seed] over seeds 1..runs. *)
+
+val contention_faults :
+  t0:float ->
+  window_s:float ->
+  nodes:int ->
+  slowdown:float ->
+  Cdbs_migration.Schedule.t ->
+  Cdbs_faults.Fault.schedule
+(** A migration's background copy traffic as slowdown faults for the
+    serving window [[t0, t0 + window_s)]: every backend below [nodes] that
+    a copy touches (as source or destination) runs [1 + slowdown] times
+    slower over the merged span of its copies, clamped to the window —
+    one fault per backend. *)

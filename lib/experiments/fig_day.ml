@@ -189,32 +189,9 @@ let run ?(params = default) ?monitor () =
         (match loop with
         | Some l -> Loop.set_allocation l next
         | None -> ());
-        let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-        let touch b s e =
-          if b >= 0 && b < target && e > s then
-            match Hashtbl.find_opt spans b with
-            | None -> Hashtbl.replace spans b (s, e)
-            | Some (s0, e0) ->
-                Hashtbl.replace spans b (min s0 s, max e0 e)
-        in
-        List.iter
-          (fun (tm : Schedule.timed_move) ->
-            let s = max t0 tm.Schedule.start in
-            let e = min (t0 +. window_s) tm.Schedule.finish in
-            touch tm.Schedule.move.Planner.dest s e;
-            match tm.Schedule.move.Planner.source with
-            | Some src -> touch src s e
-            | None -> ())
-          schedule.Schedule.moves;
-        let faults =
-          Hashtbl.fold
-            (fun b (s, e) acc ->
-              Fault.slowdown ~at:s ~backend:b
-                ~factor:(1. +. p.copy_slowdown) ~duration:(e -. s)
-              :: acc)
-            spans []
-        in
-        (faults, true)
+        ( Common.contention_faults ~t0 ~window_s ~nodes:target
+            ~slowdown:p.copy_slowdown schedule,
+          true )
       end
     in
     (* Chaos for the window: crash/recover renewals, capped at the k=1
@@ -298,30 +275,9 @@ let run ?(params = default) ?monitor () =
           Tel.Sink.ev telemetry ~at:schedule.Schedule.copy_done
             "migration.copy_done"
             [ ("copy_mb", Tel.Trace.Float plan.Planner.copy_mb) ];
-          let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-          let touch b s e =
-            if b >= 0 && b < !nodes && e > s then
-              match Hashtbl.find_opt spans b with
-              | None -> Hashtbl.replace spans b (s, e)
-              | Some (s0, e0) ->
-                  Hashtbl.replace spans b (min s0 s, max e0 e)
-          in
-          List.iter
-            (fun (tm : Schedule.timed_move) ->
-              let s = max t_next tm.Schedule.start in
-              let e = min (t_next +. window_s) tm.Schedule.finish in
-              touch tm.Schedule.move.Planner.dest s e;
-              match tm.Schedule.move.Planner.source with
-              | Some src -> touch src s e
-              | None -> ())
-            schedule.Schedule.moves;
           pending_ctl :=
-            Hashtbl.fold
-              (fun b (s, e) acc ->
-                Fault.slowdown ~at:s ~backend:b
-                  ~factor:(1. +. p.copy_slowdown) ~duration:(e -. s)
-                :: acc)
-              spans [];
+            Common.contention_faults ~t0:t_next ~window_s ~nodes:!nodes
+              ~slowdown:p.copy_slowdown schedule;
           alloc := next
         in
         match

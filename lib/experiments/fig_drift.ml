@@ -149,35 +149,6 @@ let checked_alloc ~context ~k alloc =
     Cdbs_analysis.Check_allocation.check_exn ~k ~context alloc;
   alloc
 
-(* Merged per-backend contention spans of a migration schedule, clamped
-   to the serving window starting at [t0] (same model as Fig_day: copy
-   traffic contends with foreground service on every backend a move
-   touches). *)
-let contention_faults ~t0 ~window_s ~nodes ~factor
-    (schedule : Schedule.t) =
-  let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-  let touch b s e =
-    if b >= 0 && b < nodes && e > s then
-      match Hashtbl.find_opt spans b with
-      | None -> Hashtbl.replace spans b (s, e)
-      | Some (s0, e0) -> Hashtbl.replace spans b (min s0 s, max e0 e)
-  in
-  List.iter
-    (fun (tm : Schedule.timed_move) ->
-      let s = max t0 tm.Schedule.start in
-      let e = min (t0 +. window_s) tm.Schedule.finish in
-      touch tm.Schedule.move.Planner.dest s e;
-      match tm.Schedule.move.Planner.source with
-      | Some src -> touch src s e
-      | None -> ())
-    schedule.Schedule.moves;
-  Hashtbl.fold
-    (fun b (s, e) acc ->
-      Fault.slowdown ~at:s ~backend:b ~factor:(1. +. factor)
-        ~duration:(e -. s)
-      :: acc)
-    spans []
-
 let run ?(params = default) ?monitor () =
   let p = params in
   if p.windows < 1 || p.nodes < 2 then invalid_arg "Fig_drift.run: bad shape";
@@ -363,8 +334,8 @@ let run ?(params = default) ?monitor () =
               "migration.copy_done"
               [ ("copy_mb", Tel.Trace.Float plan.Planner.copy_mb) ];
             pending_mig :=
-              contention_faults ~t0:t_next ~window_s ~nodes:p.nodes
-                ~factor:p.copy_slowdown schedule;
+              Common.contention_faults ~t0:t_next ~window_s ~nodes:p.nodes
+                ~slowdown:p.copy_slowdown schedule;
             alloc := next
           in
           (match

@@ -92,8 +92,12 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
       (Spec.requests ~rng ~n (Trace.specs_at ~hour:to_hour))
   in
   let config = Simulator.homogeneous_config plan.Planner.num_physical in
-  let mo = Simulator.run_open_with_migration config ~target ~schedule requests in
-  let copy_done = mo.Simulator.copy_done in
+  let fo =
+    Simulator.run_open_with_faults ~migration:schedule config target requests
+      ~faults:[]
+  in
+  let mo = Option.get fo.Simulator.migration in
+  let copy_done = schedule.Schedule.copy_done in
   let phase_of at =
     if at < migrate_at then "before"
     else if at < copy_done then "copy"
@@ -106,7 +110,7 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
       let b = min (buckets - 1) (int_of_float (arrival /. width)) in
       sums.(b) <- sums.(b) +. response;
       counts.(b) <- counts.(b) + 1)
-    mo.Simulator.responses;
+    fo.Simulator.responses;
   let timeline =
     List.init buckets (fun b ->
         let t0 = float_of_int b *. width in
@@ -124,19 +128,19 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
     List.filter_map
       (fun (arrival, response) ->
         if phase_of arrival = p then Some response else None)
-      mo.Simulator.responses
+      fo.Simulator.responses
   in
   {
     timeline;
     copy_start = migrate_at;
     copy_done;
-    copied_mb = mo.Simulator.copied_mb;
+    copied_mb = plan.Planner.copy_mb;
     full_rebuild_mb = plan.Planner.full_rebuild_mb;
     replayed_mb = mo.Simulator.replayed_mb;
     before_ms = 1000. *. mean (in_phase "before");
     during_ms = 1000. *. mean (in_phase "copy");
     after_ms = 1000. *. mean (in_phase "after");
-    errors = mo.Simulator.run.Simulator.errors;
+    errors = fo.Simulator.run.Simulator.errors;
     min_live_replicas =
       List.fold_left
         (fun acc (_, m) -> min acc m)

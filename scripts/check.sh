@@ -14,7 +14,9 @@ dune runtest
 # Bad numeric flags must end in a usage error, never in an escaped
 # exception.
 for args in "simulate -n 0" "allocate -n 0" "simulate --loads=0,0" \
-  "simulate --requests=-5"; do
+  "simulate --requests=-5" "migrate --rate=-1" "migrate --at=nan" \
+  "chaos --mtbf=0" "overload --rate=-1" "verify-trace --rate=-1" \
+  "day --smoke --scale=-1"; do
   # shellcheck disable=SC2086
   if out=$(dune exec bin/cdbs_cli.exe -- $args 2>&1); then
     echo "error: cdbs_cli $args exited 0" >&2

@@ -251,8 +251,6 @@ let oracle_case_gen =
       open_mode;
     }
 
-let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let prop_engine_matches_oracle =
   QCheck.Test.make ~count:300
     ~name:"simulator: batch/open match the FIFO oracle"
@@ -268,37 +266,8 @@ let prop_engine_matches_oracle =
         (if c.open_mode then Simulator.run_open else Simulator.run_batch)
           c.config c.alloc c.requests
       in
-      let responses, errors, makespan, busy =
-        Oracle.run ~open_mode:c.open_mode c.config c.alloc c.requests
-      in
-      let completed = List.length responses in
-      let sorted = Array.of_list responses in
-      Array.sort Float.compare sorted;
-      (* Nearest rank: the ceil(p/100 * n)-th smallest. *)
-      let pct p =
-        if completed = 0 then 0.
-        else
-          let n = float_of_int completed in
-          let rank = int_of_float (ceil (p /. 100. *. n)) in
-          sorted.(max 0 (min (completed - 1) (rank - 1)))
-      in
-      let avg =
-        if completed = 0 then 0.
-        else List.fold_left ( +. ) 0. responses /. float_of_int completed
-      in
-      let max_r =
-        List.fold_left (fun m r -> if r > m then r else m) 0. responses
-      in
-      o.Simulator.completed = completed
-      && o.Simulator.errors = errors
-      && bit_equal o.Simulator.makespan makespan
-      && bit_equal o.Simulator.avg_response avg
-      && bit_equal o.Simulator.max_response max_r
-      && bit_equal o.Simulator.p50_response (pct 50.)
-      && bit_equal o.Simulator.p95_response (pct 95.)
-      && bit_equal o.Simulator.p99_response (pct 99.)
-      && Array.length o.Simulator.busy = Array.length busy
-      && Array.for_all2 bit_equal o.Simulator.busy busy)
+      Oracle.matches o
+        (Oracle.run ~open_mode:c.open_mode c.config c.alloc c.requests))
 
 (* ---------------- controller ---------------- *)
 

@@ -436,12 +436,13 @@ let test_migration_runs_clean () =
   let rng = Rng.create 11 in
   let reqs = trace_requests ~rng ~rate:20. ~duration:120. in
   let monitor = Mon.create () in
-  let mo =
-    Sim.run_open_with_migration
+  let fo =
+    Sim.run_open_with_faults ~monitor ~migration:schedule
       (Sim.homogeneous_config nodes)
-      ~monitor ~target ~schedule reqs
+      target reqs ~faults:[]
   in
-  Alcotest.(check bool) "target deployed" true mo.Sim.target_deployed;
+  Alcotest.(check bool) "target deployed" true
+    (Option.get fo.Sim.migration).Sim.target_deployed;
   clean "live migration" monitor
 
 let test_monitored_outcome_identical () =
